@@ -28,9 +28,7 @@ from .matrices import (
     require_row_fishburn,
     require_self_dual,
     require_sm_member,
-    row_fishburn_violation,
 )
-from .matrices import NotRowFishburn
 
 # --- trace plumbing ---------------------------------------------------------
 
@@ -56,9 +54,7 @@ class SignedRowFishburn:
     def __post_init__(self):
         if self.flag not in (0, 1):
             raise ValueError("flag must be 0 or 1")
-        msg = row_fishburn_violation(self.matrix)
-        if msg is not None:
-            raise NotRowFishburn(msg)
+        require_row_fishburn(self.matrix)
 
 
 def _grid(m):

@@ -9,10 +9,12 @@ contract: ascending dimension, then ascending lexicographic order on the
 row-major entry sequence.  The unpruned composition scan lives in the test
 suite as an independent oracle.
 
-``verify_identity`` checks each counting identity two ways: by comparing
-refined count tables, and by transporting every member through the relevant
-map chain and asserting injectivity, image membership, statistic transport,
-and image-set equality.
+``verify_identity`` checks each counting identity two ways.  An identity
+is a spec: count tables that must agree, and transport legs.  A leg pairs
+source members with keys, names a map, and gives the target family as a
+table from each target to its key; one routine checks every leg for
+injectivity, escape from the target set, image-set equality and key
+transport, reading image keys from that table rather than recomputing them.
 """
 
 import csv
@@ -24,6 +26,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .bijections import (
+    SignedRowFishburn,
     beta,
     em_to_sm,
     embed_rm_in_b,
@@ -286,178 +289,119 @@ class IdentityReport:
     counterexample: TriMatrix = None
 
 
-def _fail(identity, n, detail, witness=None):
-    return IdentityReport(identity, n, False, detail, witness)
+@dataclass(frozen=True)
+class _Leg:
+    """One transport leg: ``apply`` must send the ``sources`` (member, key)
+    pairs one-to-one onto the ``targets`` table (target -> key), each image
+    carrying its source's key; ``inverse``, when given, must send every
+    image back to its source."""
+
+    name: str
+    sources: list
+    apply: object
+    targets: dict
+    inverse: object = None
 
 
-def _ok(identity, n, detail):
-    return IdentityReport(identity, n, True, detail)
-
-
-def _nonzero(counter):
-    return {key: v for key, v in counter.items() if v}
-
-
-def _transport(identity, n, pairs, target_set, describe):
-    """Common bijection-side check: ``pairs`` maps members to images.
-    Verifies injectivity and image-set equality against ``target_set``."""
+def _check_leg(leg):
+    """None when the leg holds, else (detail, witness)."""
     images = {}
-    for source, image in pairs:
+    for source, key in leg.sources:
+        image = leg.apply(source)
         if image in images:
-            return _fail(identity, n,
-                         f"two members share the image described by {describe}",
-                         source)
-        images[image] = source
-        if image not in target_set:
-            return _fail(identity, n, f"image escapes the target set ({describe})",
-                         source)
-    if set(images) != target_set:
-        return _fail(identity, n, f"image set misses targets ({describe})")
+            problem = "two members share an image"
+        elif image not in leg.targets:
+            problem = "image escapes the target set"
+        elif leg.targets[image] != key:
+            problem = "statistics not transported"
+        else:
+            images[image] = source
+            continue
+        # a signed source is reported by its matrix
+        return f"{problem} under {leg.name}", getattr(source, "matrix", source)
+    if len(images) != len(leg.targets):
+        return f"image set misses targets under {leg.name}", None
+    if leg.inverse is not None:
+        for image, source in images.items():
+            if leg.inverse(image) != source:
+                return f"inverse map does not undo {leg.name}", image
     return None
 
 
-def _chain_to_signed(m):
-    return selfdual_to_signed_rm(m)
+def _with_stats(family, n):
+    return [(m, stats(m)) for m in enumerate_family(family, n)]
 
 
-def _verify_eq1(n):
-    selfdual = enumerate_family(FamilyTag.SELF_DUAL, n)
+def _spec(identity, n):
+    """(count tables that must agree, transport legs, passing detail) for
+    one identity at size n.  eq1, eq2 and eq3 map slices of the self-dual
+    family through the chain into rm x {1}, rm x {0} and rm x {0, 1}; eq4
+    embeds rm x {0, 1} into b; eq8 sends the even half of the self-dual
+    family into the zero-center slice of sm and that slice on into rm."""
+    if identity == "eq8":
+        selfdual = _with_stats(FamilyTag.SELF_DUAL, n)
+        even = [(m, st.first_row_sum) for m, st in selfdual if m.dim % 2 == 0]
+        odd = [(m, st.first_row_sum) for m, st in selfdual if m.dim % 2 == 1]
+        rm_k = {r: st.last_col_sum for r, st in _with_stats(FamilyTag.RM, n)}
+        zero_center = {s: st.first_row_sum for s, st in _with_stats(FamilyTag.SM, n)
+                       if st.center_col_sum == 0}
+        tables = [Counter(k for _, k in even), Counter(k for _, k in odd),
+                  Counter(rm_k.values())]
+        legs = [_Leg("the parity embedding", even, em_to_sm, zero_center),
+                _Leg("column relocation on the zero-center slice",
+                     list(zero_center.items()),
+                     lambda s: project_b_to_signed_rm(beta(s)).matrix, rm_k)]
+        return tables, legs, (f"even {len(even)} = odd {len(odd)} = {len(rm_k)} "
+                              f"over {len(tables[2])} first-row classes")
     rm = enumerate_family(FamilyTag.RM, n)
-    zero_diag = [m for m in selfdual if stats(m).diag_sum == 0]
-    left = Counter(stats(m).first_row_sum for m in zero_diag)
-    right = Counter(stats(m).last_col_sum for m in rm)
-    if _nonzero(left) != _nonzero(right):
-        return _fail("eq1", n, f"count tables differ: {_nonzero(left)} vs {_nonzero(right)}")
-    pairs = []
-    for m in zero_diag:
-        signed = _chain_to_signed(m)
-        if signed.flag != 1:
-            return _fail("eq1", n, "zero diagonal-cell sum should project with flag 1", m)
-        if stats(signed.matrix).last_col_sum != stats(m).first_row_sum:
-            return _fail("eq1", n, "last-column sum does not match first-row sum", m)
-        pairs.append((m, signed.matrix))
-    bad = _transport("eq1", n, pairs, set(rm), "the map chain on the zero-sum slice")
-    if bad is not None:
-        return bad
-    return _ok("eq1", n, f"{len(zero_diag)} = {len(rm)} over {len(left)} first-row classes")
-
-
-def _verify_eq2(n):
-    selfdual = enumerate_family(FamilyTag.SELF_DUAL, n)
-    rm = enumerate_family(FamilyTag.RM, n)
-    pos_diag = [m for m in selfdual if stats(m).diag_sum >= 1]
-    left = Counter((stats(m).first_row_sum, stats(m).diag_sum) for m in pos_diag)
-    right = Counter((stats(m).last_col_sum, stats(m).first_row_sum) for m in rm)
-    if _nonzero(left) != _nonzero(right):
-        return _fail("eq2", n, f"count tables differ: {_nonzero(left)} vs {_nonzero(right)}")
-    pairs = []
-    for m in pos_diag:
-        st = stats(m)
-        signed = _chain_to_signed(m)
-        if signed.flag != 0:
-            return _fail("eq2", n, "positive diagonal-cell sum should project with flag 0", m)
-        ist = stats(signed.matrix)
-        if (ist.last_col_sum, ist.first_row_sum) != (st.first_row_sum, st.diag_sum):
-            return _fail("eq2", n, "refined statistics not transported", m)
-        pairs.append((m, signed.matrix))
-    bad = _transport("eq2", n, pairs, set(rm), "the map chain on the positive-sum slice")
-    if bad is not None:
-        return bad
-    return _ok("eq2", n, f"{len(pos_diag)} = {len(rm)} over {len(left)} refined classes")
-
-
-def _verify_eq3(n):
-    selfdual = enumerate_family(FamilyTag.SELF_DUAL, n)
-    rm = enumerate_family(FamilyTag.RM, n)
-    if len(selfdual) != 2 * len(rm):
-        return _fail("eq3", n, f"{len(selfdual)} != 2*{len(rm)}")
-    pairs = [(m, _chain_to_signed(m)) for m in selfdual]
-    target = {(r, flag) for r in rm for flag in (0, 1)}
-    bad = _transport("eq3", n,
-                     [(m, (s.matrix, s.flag)) for m, s in pairs],
-                     target, "the full map chain")
-    if bad is not None:
-        return bad
-    return _ok("eq3", n, f"{len(selfdual)} = 2*{len(rm)}")
-
-
-def _verify_eq4(n):
-    b_members = enumerate_family(FamilyTag.B, n)
-    rm = enumerate_family(FamilyTag.RM, n)
-    if len(b_members) != 2 * len(rm):
-        return _fail("eq4", n, f"{len(b_members)} != 2*{len(rm)}")
-    pairs = []
-    for r in rm:
-        for flag in (0, 1):
-            pairs.append(((r, flag), embed_rm_in_b(r, flag)))
-    target = set(b_members)
-    images = {}
-    for source, image in pairs:
-        if image in images or image not in target:
-            return _fail("eq4", n, "embedding not injective into the target", source[0])
-        images[image] = source
-    if set(images) != target:
-        return _fail("eq4", n, "embedding misses part of the target family")
-    for image, (r, flag) in images.items():
-        back = project_b_to_signed_rm(image)
-        if (back.matrix, back.flag) != (r, flag):
-            return _fail("eq4", n, "projection does not invert the embedding", image)
-    return _ok("eq4", n, f"{len(b_members)} = 2*{len(rm)}")
-
-
-def _verify_eq8(n):
-    selfdual = enumerate_family(FamilyTag.SELF_DUAL, n)
-    rm = enumerate_family(FamilyTag.RM, n)
-    sm = enumerate_family(FamilyTag.SM, n)
-    even = [m for m in selfdual if m.dim % 2 == 0]
-    odd = [m for m in selfdual if m.dim % 2 == 1]
-    even_k = Counter(stats(m).first_row_sum for m in even)
-    odd_k = Counter(stats(m).first_row_sum for m in odd)
-    rm_k = Counter(stats(m).last_col_sum for m in rm)
-    if not (_nonzero(even_k) == _nonzero(odd_k) == _nonzero(rm_k)):
-        return _fail("eq8", n, "even/odd/row-nonzero count tables differ: "
-                               f"{_nonzero(even_k)} vs {_nonzero(odd_k)} vs {_nonzero(rm_k)}")
-    # transport leg 1: even-dimension members onto the zero-center slice
-    zero_center = [s for s in sm if stats(s).center_col_sum == 0]
-    pairs = []
-    for m in even:
-        image = em_to_sm(m)
-        if stats(image).first_row_sum != stats(m).first_row_sum:
-            return _fail("eq8", n, "first-row sum not preserved by the parity embedding", m)
-        pairs.append((m, image))
-    bad = _transport("eq8", n, pairs, set(zero_center), "the parity embedding")
-    if bad is not None:
-        return bad
-    # transport leg 2: zero-center slice onto the row-nonzero family
-    pairs = []
-    for s in zero_center:
-        signed = project_b_to_signed_rm(beta(s))
-        if stats(signed.matrix).last_col_sum != stats(s).first_row_sum:
-            return _fail("eq8", n, "last-column sum does not match first-row sum", s)
-        pairs.append((s, signed.matrix))
-    bad = _transport("eq8", n, pairs, set(rm), "column relocation on the zero-center slice")
-    if bad is not None:
-        return bad
-    return _ok("eq8", n,
-               f"even {len(even)} = odd {len(odd)} = {len(rm)} "
-               f"over {len(rm_k)} first-row classes")
-
-
-_CHECKERS = {
-    "eq1": _verify_eq1,
-    "eq2": _verify_eq2,
-    "eq3": _verify_eq3,
-    "eq4": _verify_eq4,
-    "eq8": _verify_eq8,
-}
+    if identity == "eq1":
+        leg = _Leg("the map chain on the zero-sum slice",
+                   [(m, st.first_row_sum)
+                    for m, st in _with_stats(FamilyTag.SELF_DUAL, n) if st.diag_sum == 0],
+                   selfdual_to_signed_rm,
+                   {SignedRowFishburn(r, 1): stats(r).last_col_sum for r in rm})
+        classes = "first-row classes"
+    elif identity == "eq2":
+        leg = _Leg("the map chain on the positive-sum slice",
+                   [(m, (st.first_row_sum, st.diag_sum))
+                    for m, st in _with_stats(FamilyTag.SELF_DUAL, n) if st.diag_sum >= 1],
+                   selfdual_to_signed_rm,
+                   {SignedRowFishburn(r, 0): (st.last_col_sum, st.first_row_sum)
+                    for r, st in zip(rm, map(stats, rm))})
+        classes = "refined classes"
+    elif identity == "eq3":
+        leg = _Leg("the full map chain",
+                   [(m, None) for m in enumerate_family(FamilyTag.SELF_DUAL, n)],
+                   selfdual_to_signed_rm,
+                   dict.fromkeys(SignedRowFishburn(r, flag) for r in rm for flag in (0, 1)))
+    else:
+        leg = _Leg("the embedding",
+                   [(SignedRowFishburn(r, flag), None) for r in rm for flag in (0, 1)],
+                   lambda s: embed_rm_in_b(s.matrix, s.flag),
+                   dict.fromkeys(enumerate_family(FamilyTag.B, n)),
+                   inverse=project_b_to_signed_rm)
+    # a passing leg is a bijection carrying keys, so its source and target
+    # counts agree, in total and per key
+    tables = [Counter(key for _, key in leg.sources), Counter(leg.targets.values())]
+    if identity in ("eq3", "eq4"):
+        return tables, [leg], f"{len(leg.targets)} = 2*{len(rm)}"
+    return tables, [leg], f"{len(leg.sources)} = {len(rm)} over {len(tables[0])} {classes}"
 
 
 def verify_identity(identity, n):
     """Check one counting identity at one size, by refined count comparison
     and again by member-by-member transport.  Failure is a report with a
     witness, not an exception."""
-    if identity not in _CHECKERS:
+    if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}, expected one of {IDENTITIES}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _CHECKERS[identity](n)
+    tables, legs, detail = _spec(identity, n)
+    if any(table != tables[0] for table in tables):
+        return IdentityReport(identity, n, False, "count tables differ: "
+                              + " vs ".join(str(dict(table)) for table in tables))
+    for leg in legs:
+        failure = _check_leg(leg)
+        if failure is not None:
+            return IdentityReport(identity, n, False, *failure)
+    return IdentityReport(identity, n, True, detail)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from fishburn import format_matrix
+from fishburn import SignedRowFishburn, enumeration, format_matrix
 from fishburn.cli import main
 from vectors import (
     A5,
@@ -56,6 +56,26 @@ def test_verify_all_identities(capsys):
     assert lines[-1] == "all checks passed"
     for ident in ("eq1", "eq2", "eq3", "eq4", "eq8"):
         assert any(line.startswith(f"{ident} n=1: pass") for line in lines)
+
+
+def test_verify_all_golden_bytes(capsys):
+    assert main(["verify", "--identity", "all", "--max-size", "5"]) == 0
+    out, _ = capsys.readouterr()
+    assert out == (GOLDEN / "verify_all_5.txt").read_text()
+
+
+def test_verify_failure_prints_counterexample(monkeypatch, capsys):
+    chain = enumeration.selfdual_to_signed_rm
+
+    def flipped(m, want_trace=False):
+        signed = chain(m)
+        return SignedRowFishburn(signed.matrix, 1 - signed.flag)
+
+    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm", flipped)
+    assert main(["verify", "--identity", "eq1", "--max-size", "3"]) == 1
+    out, _ = capsys.readouterr()
+    assert "eq1 n=1: FAIL (" in out
+    assert "FAILURES detected\ncounterexample:\n2\n1 0\n0 1\n" in out
 
 
 def test_verify_rejects_zero_bound():

@@ -8,6 +8,7 @@ import pytest
 from fishburn import (
     FamilyTag,
     Parity,
+    SignedRowFishburn,
     TriMatrix,
     count_refined,
     enumerate_family,
@@ -15,8 +16,10 @@ from fishburn import (
     family_size,
     family_violation,
     refinement_key,
+    stats,
     verify_identity,
 )
+from fishburn import enumeration
 from vectors import A5, A6, B_1, M_1, RM_2_ORDER, SM_1
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -187,3 +190,124 @@ def test_parity_split_is_even():
         for (k, _, _), count in count_refined(FamilyTag.RM, n).cells.items():
             rm[k] = rm.get(k, 0) + count
         assert even == odd == rm
+
+
+# --- injected faults ---------------------------------------------------------------
+# Each test breaks one map where the checker looks it up and asserts that the
+# identity built on that map fails with a witness.
+
+_chain = enumeration.selfdual_to_signed_rm
+
+
+def _flipped_chain(m, want_trace=False):
+    signed = _chain(m)
+    return SignedRowFishburn(signed.matrix, 1 - signed.flag)
+
+
+@pytest.mark.parametrize("identity", ["eq1", "eq2"])
+def test_flipped_chain_flag_fails_slice_identity(monkeypatch, identity):
+    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm", _flipped_chain)
+    report = verify_identity(identity, 3)
+    assert report.passed is False
+    # eq1 slices the zero diagonal-cell sums, eq2 the positive ones
+    first = next(m for m in enumerate_family(FamilyTag.SELF_DUAL, 3)
+                 if (stats(m).diag_sum >= 1) == (identity == "eq2"))
+    assert report.counterexample == first
+
+
+def test_flipped_chain_flag_still_passes_eq3(monkeypatch):
+    # a global flag flip is a bijection onto rm x {0, 1}
+    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm", _flipped_chain)
+    assert verify_identity("eq3", 3).passed
+
+
+def test_merging_chain_fails_eq3(monkeypatch):
+    members = enumerate_family(FamilyTag.SELF_DUAL, 3)
+
+    def merging(m, want_trace=False):
+        return _chain(members[0] if m == members[1] else m)
+
+    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm", merging)
+    report = verify_identity("eq3", 3)
+    assert report.passed is False
+    assert report.counterexample == members[1]
+
+
+def test_swapping_chain_fails_eq2_transport(monkeypatch):
+    # still a bijection onto rm x {0}, but two images trade refined classes
+    positive = [m for m in enumerate_family(FamilyTag.SELF_DUAL, 3)
+                if stats(m).diag_sum >= 1]
+    first = positive[0]
+    other = next(m for m in positive
+                 if stats(m).first_row_sum != stats(first).first_row_sum)
+    swap = {first: other, other: first}
+
+    def swapping(m, want_trace=False):
+        return _chain(swap.get(m, m))
+
+    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm", swapping)
+    report = verify_identity("eq2", 3)
+    assert report.passed is False
+    assert report.counterexample == first
+
+
+def test_flag_blind_embedding_fails_eq4(monkeypatch):
+    embed = enumeration.embed_rm_in_b
+    monkeypatch.setattr(enumeration, "embed_rm_in_b", lambda a, flag: embed(a, 0))
+    report = verify_identity("eq4", 3)
+    assert report.passed is False
+    assert report.counterexample == enumerate_family(FamilyTag.RM, 3)[0]
+
+
+def test_flag_flipping_projection_fails_eq4(monkeypatch):
+    project = enumeration.project_b_to_signed_rm
+
+    def flipped(m):
+        signed = project(m)
+        return SignedRowFishburn(signed.matrix, 1 - signed.flag)
+
+    monkeypatch.setattr(enumeration, "project_b_to_signed_rm", flipped)
+    report = verify_identity("eq4", 3)
+    assert report.passed is False
+    assert report.counterexample == enumerate_family(FamilyTag.RM, 3)[0]
+
+
+def test_short_family_fails_count_tables(monkeypatch):
+    # a count mismatch has no single member to blame
+    walk = enumeration.enumerate_family
+
+    def short(family, n):
+        members = walk(family, n)
+        return members[:-1] if family is FamilyTag.RM else members
+
+    monkeypatch.setattr(enumeration, "enumerate_family", short)
+    report = verify_identity("eq3", 3)
+    assert report.passed is False
+    assert report.counterexample is None
+
+
+def test_unreached_target_fails_eq8(monkeypatch):
+    # a zero-center stranger in sm that no even member maps to; the count
+    # tables compare even, odd and rm, so only the leg can notice it
+    stranger = TriMatrix(((0, 0, 3), (0, 0, 0), (0, 0, 0)))
+    walk = enumeration.enumerate_family
+
+    def padded(family, n):
+        members = walk(family, n)
+        return members + (stranger,) if family is FamilyTag.SM else members
+
+    monkeypatch.setattr(enumeration, "enumerate_family", padded)
+    report = verify_identity("eq8", 3)
+    assert report.passed is False
+    assert "misses" in report.detail
+
+
+def test_constant_parity_embedding_fails_eq8(monkeypatch):
+    # the constant image carries a first-row sum the first even member lacks
+    even = [m for m in enumerate_family(FamilyTag.SELF_DUAL, 3) if m.dim % 2 == 0]
+    other = next(m for m in even if m.row_sum(1) != even[0].row_sum(1))
+    image = enumeration.em_to_sm(other)
+    monkeypatch.setattr(enumeration, "em_to_sm", lambda m: image)
+    report = verify_identity("eq8", 3)
+    assert report.passed is False
+    assert report.counterexample == even[0]
