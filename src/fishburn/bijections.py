@@ -8,9 +8,13 @@ Around them sit the embedding and projection maps that account for the
 factor 2 between the row-nonzero family and the rows-after-the-first
 family, plus the even-dimension embedding used by the parity-refined count.
 
+Each map checks each membership condition of its input once, at entry;
+a matrix one map builds is checked again where it enters another
+(``beta`` on the output of ``alpha``, ``expand`` inside ``alpha_inv``).
+
 Every map can optionally record a trace: a sequence of labeled snapshots,
 one per algorithm step, with the input first and the output last.  Traces
-are value copies, never views, and cost nothing unless requested.
+are value copies, never views, and are built only when requested.
 """
 
 from dataclasses import dataclass
@@ -18,16 +22,22 @@ from dataclasses import dataclass
 from .matrices import (
     DegenerateMatrix,
     MatrixConditionError,
+    NotBMember,
+    NotFishburn,
+    NotRowFishburn,
+    NotSelfDual,
+    NotSMMember,
     OddDimension,
     TriMatrix,
+    _reduce,
+    b_violation,
     dual,
     expand,
-    reduce,
-    require_b_member,
-    require_fishburn,
-    require_row_fishburn,
-    require_self_dual,
-    require_sm_member,
+    fishburn_violation,
+    require,
+    row_fishburn_violation,
+    selfdual_violation,
+    sm_violation,
 )
 
 # --- trace plumbing ---------------------------------------------------------
@@ -54,7 +64,7 @@ class SignedRowFishburn:
     def __post_init__(self):
         if self.flag not in (0, 1):
             raise ValueError("flag must be 0 or 1")
-        require_row_fishburn(self.matrix)
+        require(row_fishburn_violation, NotRowFishburn, self.matrix)
 
 
 def _grid(m):
@@ -89,18 +99,18 @@ def alpha(m, want_trace=False):
     diagonal-cell sum of the input becomes the center-column sum of the
     output.
     """
-    require_self_dual(m)
-    require_fishburn(m)
-    steps = [("A(0)", m)]
-    r = reduce(m)
-    steps.append(("A(1)", r))
+    require(selfdual_violation, NotSelfDual, m)
+    require(fishburn_violation, NotFishburn, m)
+    r = _reduce(m)
+    steps = [("A(0)", m), ("A(1)", r)]
     g = _grid(r)
     d = m.dim
     if d % 2 == 0:
         k = d // 2
         _insert_col(g, k + 1)
         _insert_row(g, k + 1)
-        steps.append(("A(2)", _freeze(g)))
+        if want_trace:
+            steps.append(("A(2)", _freeze(g)))
         mp = d + 1
     else:
         k = (d - 1) // 2
@@ -119,7 +129,7 @@ def alpha_inv(s, want_trace=False):
     """Invert ``alpha``: swap the center column back onto the diagonal
     cells, drop the center column and row when both ended up zero (the even
     case leaves them so), and mirror the NW half back into SE."""
-    require_sm_member(s)
+    require(sm_violation, NotSMMember, s)
     d = s.dim
     k = (d - 1) // 2
     steps = [("A(0)", s)]
@@ -127,12 +137,14 @@ def alpha_inv(s, want_trace=False):
     for i in range(1, k + 1):
         row = g[i - 1]
         row[k], row[d - i] = row[d - i], row[k]
-    steps.append(("A(1)", _freeze(g)))
+    if want_trace:
+        steps.append(("A(1)", _freeze(g)))
     if k >= 1 and not any(row[k] for row in g) and not any(g[k]):
         for row in g:
             del row[k]
         del g[k]
-        steps.append(("A(2)", _freeze(g)))
+        if want_trace:
+            steps.append(("A(2)", _freeze(g)))
     out = expand(_freeze(g))
     if want_trace:
         steps.append(("M", out))
@@ -158,7 +170,7 @@ def beta(a, want_trace=False):
     the first-row sum of the input, and the first-row sum of the output
     equals the center-column sum of the input.
     """
-    require_sm_member(a)
+    require(sm_violation, NotSMMember, a)
     if a.size() == 0:
         raise DegenerateMatrix("the all-zero matrix has no image")
     steps = [("A(0)", a)]
@@ -183,7 +195,8 @@ def beta(a, want_trace=False):
         _insert_col(g, c + 1)
         _insert_row(g, c + 1)
         step += 1
-        steps.append((f"A({step})", _freeze(g)))
+        if want_trace:
+            steps.append((f"A({step})", _freeze(g)))
     d = len(g)
     q = (d - 1) // 2
     keep = d - q
@@ -208,7 +221,7 @@ def beta_inv(a_prime, want_trace=False):
     The loop stops when every offset has a nonzero row or column on one
     side, which is the membership condition of the target family.
     """
-    require_b_member(a_prime)
+    require(b_violation, NotBMember, a_prime)
     if a_prime.size() == 0:
         raise DegenerateMatrix("the all-zero matrix has no preimage")
     k = a_prime.dim - 1
@@ -218,7 +231,8 @@ def beta_inv(a_prime, want_trace=False):
         row.extend([0] * k)
     for _ in range(k):
         g.append([0] * (2 * k + 1))
-    steps.append(("A(1)", _freeze(g)))
+    if want_trace:
+        steps.append(("A(1)", _freeze(g)))
     label = 1
     while True:
         d = len(g)
@@ -233,7 +247,8 @@ def beta_inv(a_prime, want_trace=False):
         i = found
         # row 1 keeps a nonzero entry throughout, so the outermost pair
         # (i = kk) is never selected and the merge target stays in range
-        assert i < kk
+        if i >= kk:
+            raise RuntimeError(f"merge selected the outermost pair at offset {i}")
         lo = kk + 1 - i
         hi = kk + 1 + i
         dest = kk + 2 + i
@@ -245,7 +260,8 @@ def beta_inv(a_prime, want_trace=False):
         del g[hi - 1]
         del g[lo - 1]
         label += 1
-        steps.append((f"A({label})", _freeze(g)))
+        if want_trace:
+            steps.append((f"A({label})", _freeze(g)))
     out = _freeze(g)
     if want_trace:
         return out, BijectionTrace(tuple(steps))
@@ -261,7 +277,7 @@ def embed_rm_in_b(a, add_zero_first):
     (flag 1).  The pair map is injective, which gives the factor 2."""
     if add_zero_first not in (0, 1):
         raise ValueError("add_zero_first must be 0 or 1")
-    require_row_fishburn(a)
+    require(row_fishburn_violation, NotRowFishburn, a)
     if not add_zero_first:
         return a
     g = _grid(a)
@@ -273,7 +289,7 @@ def embed_rm_in_b(a, add_zero_first):
 def project_b_to_signed_rm(m):
     """Invert ``embed_rm_in_b``: a zero first row is stripped (flag 1), a
     nonzero first row already makes every row nonzero (flag 0)."""
-    require_b_member(m)
+    require(b_violation, NotBMember, m)
     if m.size() == 0:
         raise DegenerateMatrix("the all-zero matrix cannot be projected")
     if m.row_sum(1) == 0:
@@ -304,11 +320,11 @@ def em_to_sm(m):
     SE half, then insert a zero column and zero row at position m + 1 where
     2m is the input dimension.  First-row sum is preserved and the
     center-column sum of the image is 0."""
-    require_self_dual(m)
+    require(selfdual_violation, NotSelfDual, m)
     if m.dim % 2:
         raise OddDimension(f"dimension {m.dim} is odd, expected even")
-    require_fishburn(m)
-    r = reduce(m)
+    require(fishburn_violation, NotFishburn, m)
+    r = _reduce(m)
     h = m.dim // 2
     g = _grid(r)
     _insert_col(g, h + 1)
@@ -319,7 +335,7 @@ def em_to_sm(m):
 def sm_to_em(s):
     """Invert ``em_to_sm``: delete the (necessarily zero) center column and
     row, then mirror the NW half back into SE."""
-    require_sm_member(s)
+    require(sm_violation, NotSMMember, s)
     d = s.dim
     k = (d - 1) // 2
     if k == 0:

@@ -36,8 +36,9 @@ from .bijections import (
 from .matrices import (
     Parity,
     TriMatrix,
+    _expand,
+    _pairing_violation,
     b_violation,
-    expand,
     fishburn_violation,
     reduced_size,
     row_fishburn_violation,
@@ -57,19 +58,20 @@ class FamilyTag(Enum):
     B = "b"
 
 
+_VIOLATIONS = {
+    FamilyTag.FISHBURN: fishburn_violation,
+    FamilyTag.SELF_DUAL: lambda m: selfdual_violation(m) or fishburn_violation(m),
+    FamilyTag.RM: row_fishburn_violation,
+    FamilyTag.SM: sm_violation,
+    FamilyTag.B: b_violation,
+}
+
+
 def family_violation(family, m):
     """None when ``m`` belongs to the family, else the first failed condition."""
-    if family is FamilyTag.FISHBURN:
-        return fishburn_violation(m)
-    if family is FamilyTag.SELF_DUAL:
-        return selfdual_violation(m) or fishburn_violation(m)
-    if family is FamilyTag.RM:
-        return row_fishburn_violation(m)
-    if family is FamilyTag.SM:
-        return sm_violation(m)
-    if family is FamilyTag.B:
-        return b_violation(m)
-    raise ValueError(f"unknown family {family!r}")
+    if not isinstance(family, FamilyTag):
+        raise ValueError(f"unknown family {family!r}")
+    return _VIOLATIONS[family](m)
 
 
 def family_member(family, m):
@@ -178,22 +180,22 @@ def _gen_sm(n):
         cells = _non_se_cells(d)
         for vals in _fill_assignments(cells, n, (), range(1, k + 1)):
             m = _build(d, cells, vals)
-            if all(m.row_sum(k + 1 - i) or m.col_sum(k + 1 + i)
-                   for i in range(1, k + 1)):
+            if _pairing_violation(m, range(1, k + 1)) is None:
                 yield m
 
 
 def _gen_self_dual(n):
     # generate the zero-SE halves of the given NW-plus-diagonal sum that
     # mirror into members, then expand; expansion fills only SE cells whose
-    # mirrors sit in earlier rows, so it preserves row-major order
+    # mirrors sit in earlier rows, so it preserves row-major order.  The walk
+    # keeps SE zero and the leading columns nonzero, so only pairing is checked
     for d in range(1, 2 * n + 1):
         h = (d + 1) // 2
         cells = _non_se_cells(d)
         for vals in _fill_assignments(cells, n, (), range(1, h + 1)):
             r = _build(d, cells, vals)
-            if all(r.row_sum(i) or r.col_sum(d + 1 - i) for i in range(1, h + 1)):
-                yield expand(r)
+            if _pairing_violation(r, range(1, h + 1)) is None:
+                yield _expand(r)
 
 
 _GENERATORS = {

@@ -1,4 +1,4 @@
-"""Upper-triangular integer matrices and the structural predicates on them.
+"""Upper-triangular integer matrices and the membership conditions on them.
 
 Everything in this package runs on one carrier type, an immutable square
 matrix of nonnegative integers with zeros below the main diagonal.  All
@@ -182,10 +182,19 @@ def _nw_diag_sum(m):
                if i + j <= d + 1)
 
 
-# --- family conditions -----------------------------------------------------
-# Each *_violation helper returns None when the condition holds, else a short
-# description naming the first offending cell, row, or column (1-based).  The
-# is_* predicates and require_* guards wrap them.
+# --- membership conditions -------------------------------------------------
+# Each *_violation function is the one definition of its condition: it
+# returns None when the condition holds, else a short description naming the
+# first offending cell, row, or column (1-based).  ``require`` turns a
+# violation into the exception the caller names, and
+# ``enumeration.family_violation`` combines them into the five families.
+
+
+def require(violation, error, m):
+    """Raise ``error`` with the message of ``violation(m)`` unless it is None."""
+    msg = violation(m)
+    if msg is not None:
+        raise error(msg)
 
 
 def selfdual_violation(m):
@@ -200,21 +209,30 @@ def selfdual_violation(m):
     return None
 
 
-def fishburn_violation(m):
-    for i in range(1, m.dim + 1):
+def _row_violation(m, first):
+    for i in range(first, m.dim + 1):
         if m.row_sum(i) == 0:
             return f"row {i} zero"
-    for j in range(1, m.dim + 1):
-        if m.col_sum(j) == 0:
-            return f"column {j} zero"
     return None
+
+
+def _column_violation(m, last):
+    for c in range(1, last + 1):
+        if m.col_sum(c) == 0:
+            return f"column {c} zero"
+    return None
+
+
+def fishburn_violation(m):
+    return _row_violation(m, 1) or _column_violation(m, m.dim)
 
 
 def row_fishburn_violation(m):
-    for i in range(1, m.dim + 1):
-        if m.row_sum(i) == 0:
-            return f"row {i} zero"
-    return None
+    return _row_violation(m, 1)
+
+
+def b_violation(m):
+    return _row_violation(m, 2)
 
 
 def super_triangular_violation(m):
@@ -226,110 +244,35 @@ def super_triangular_violation(m):
     return None
 
 
-def expandable_violation(m):
-    """Check the two conditions under which a zero-SE matrix mirrors into a
-    self-dual matrix with every row and column nonzero: each column up to the
-    middle one is nonzero, and for each i up to the middle either row i or
-    column m + 1 - i is nonzero.  Assumes the input is already zero on SE."""
+def _pairing_violation(m, rows):
+    """The first i in ``rows`` whose row i and column m + 1 - i are both
+    zero.  Mirroring a zero-SE matrix gives each of those two lines the
+    entries of both, so after mirroring they are nonzero when one was."""
     d = m.dim
-    h = (d + 1) // 2
-    for c in range(1, h + 1):
-        if m.col_sum(c) == 0:
-            return f"column {c} zero"
-    for i in range(1, h + 1):
+    for i in rows:
         if m.row_sum(i) == 0 and m.col_sum(d + 1 - i) == 0:
             return f"row {i} and column {d + 1 - i} both zero"
     return None
 
 
+def expandable_violation(m):
+    """Check the two conditions under which a zero-SE matrix mirrors into a
+    self-dual matrix with every row and column nonzero: each column up to the
+    middle one is nonzero, and for each i up to the middle either row i or
+    column m + 1 - i is nonzero.  Assumes the input is already zero on SE."""
+    h = (m.dim + 1) // 2
+    return _column_violation(m, h) or _pairing_violation(m, range(1, h + 1))
+
+
 def sm_violation(m):
+    """Odd dimension 2k + 1, zero SE cells, columns 1..k nonzero, and for
+    each i up to k, innermost first, row i or column m + 1 - i nonzero."""
     d = m.dim
     if d % 2 == 0:
         return f"dimension {d} even"
-    msg = super_triangular_violation(m)
-    if msg is not None:
-        return msg
     k = (d - 1) // 2
-    for c in range(1, k + 1):
-        if m.col_sum(c) == 0:
-            return f"column {c} zero"
-    for i in range(1, k + 1):
-        if m.row_sum(k + 1 - i) == 0 and m.col_sum(k + 1 + i) == 0:
-            return f"row {k + 1 - i} and column {k + 1 + i} both zero"
-    return None
-
-
-def b_violation(m):
-    for i in range(2, m.dim + 1):
-        if m.row_sum(i) == 0:
-            return f"row {i} zero"
-    return None
-
-
-def is_self_dual(m):
-    return selfdual_violation(m) is None
-
-
-def is_fishburn(m):
-    return fishburn_violation(m) is None
-
-
-def is_row_fishburn(m):
-    return row_fishburn_violation(m) is None
-
-
-def is_super_triangular(m):
-    return super_triangular_violation(m) is None
-
-
-def is_expandable(m):
-    """True when ``expand`` applies.  Requires a zero-SE input."""
-    require_super_triangular(m)
-    return expandable_violation(m) is None
-
-
-def is_sm_member(m):
-    return sm_violation(m) is None
-
-
-def is_b_member(m):
-    return b_violation(m) is None
-
-
-def require_self_dual(m):
-    msg = selfdual_violation(m)
-    if msg is not None:
-        raise NotSelfDual(msg)
-
-
-def require_fishburn(m):
-    msg = fishburn_violation(m)
-    if msg is not None:
-        raise NotFishburn(msg)
-
-
-def require_row_fishburn(m):
-    msg = row_fishburn_violation(m)
-    if msg is not None:
-        raise NotRowFishburn(msg)
-
-
-def require_super_triangular(m):
-    msg = super_triangular_violation(m)
-    if msg is not None:
-        raise NotSuperTriangular(msg)
-
-
-def require_sm_member(m):
-    msg = sm_violation(m)
-    if msg is not None:
-        raise NotSMMember(msg)
-
-
-def require_b_member(m):
-    msg = b_violation(m)
-    if msg is not None:
-        raise NotBMember(msg)
+    return (super_triangular_violation(m) or _column_violation(m, k)
+            or _pairing_violation(m, range(k, 0, -1)))
 
 
 # --- duality and reduction -------------------------------------------------
@@ -350,15 +293,19 @@ def dual(m):
 def reduced_size(m):
     """Sum over NW and diagonal cells.  Rejects non-self-dual input, where
     the quantity would depend on which half of the matrix is kept."""
-    require_self_dual(m)
+    require(selfdual_violation, NotSelfDual, m)
     return _nw_diag_sum(m)
 
 
 def reduce(m):
     """Zero every SE cell of a self-dual matrix with all rows and columns
     nonzero.  The result has size equal to ``reduced_size(m)``."""
-    require_self_dual(m)
-    require_fishburn(m)
+    require(selfdual_violation, NotSelfDual, m)
+    require(fishburn_violation, NotFishburn, m)
+    return _reduce(m)
+
+
+def _reduce(m):
     d = m.dim
     return TriMatrix(tuple(
         tuple(0 if i + j > d + 1 else v for j, v in enumerate(row, start=1))
@@ -369,10 +316,12 @@ def expand(m):
     """Rebuild the unique self-dual preimage of a zero-SE matrix under
     ``reduce`` by mirroring each NW cell (i, j) into the SE cell
     (m + 1 - j, m + 1 - i)."""
-    require_super_triangular(m)
-    msg = expandable_violation(m)
-    if msg is not None:
-        raise NotExpandable(msg)
+    require(super_triangular_violation, NotSuperTriangular, m)
+    require(expandable_violation, NotExpandable, m)
+    return _expand(m)
+
+
+def _expand(m):
     d = m.dim
     g = [list(row) for row in m.rows]
     for i in range(1, d + 1):

@@ -22,9 +22,10 @@ from .matrices import (
     NotSelfDual,
     ParseError,
     TriMatrix,
-    is_self_dual,
+    _is_uint,
+    fishburn_violation,
     reduced_size,
-    require_fishburn,
+    require,
 )
 
 # --- exceptions ---------------------------------------------------------------
@@ -169,7 +170,7 @@ def fishburn_to_poset(m):
     row-major cell order, and an element finishing at up-level j precedes
     every element starting at a level above j.
     """
-    require_fishburn(m)
+    require(fishburn_violation, NotFishburn, m)
     labels = []
     for i in range(1, m.dim + 1):
         for j in range(i, m.dim + 1):
@@ -280,10 +281,10 @@ def reduced_size_of_interval_order(p):
     """NW plus diagonal sum of the matrix encoding.  The encoding of a
     self-dual interval order is itself a self-dual matrix; anything else is
     rejected rather than searched for a relabeling."""
-    m = poset_to_fishburn(p)
-    if not is_self_dual(m):
-        raise NotSelfDualMatrix("the matrix encoding differs from its mirror")
-    return reduced_size(m)
+    try:
+        return reduced_size(poset_to_fishburn(p))
+    except NotSelfDual:
+        raise NotSelfDualMatrix("the matrix encoding differs from its mirror") from None
 
 
 # --- text format ----------------------------------------------------------------------------
@@ -297,7 +298,7 @@ def parse_poset(text):
     if not lines or not lines[0].split():
         raise ParseError("line 1: expected a positive element count")
     head = lines[0].split()
-    if len(head) != 1 or not head[0].isdigit() or int(head[0]) < 1:
+    if len(head) != 1 or not _is_uint(head[0]) or int(head[0]) < 1:
         raise ParseError("line 1: expected a positive element count")
     n = int(head[0])
     relation = set()
@@ -305,7 +306,7 @@ def parse_poset(text):
         parts = line.split()
         if not parts:
             continue
-        if len(parts) != 2 or not all(tok.isdigit() for tok in parts):
+        if len(parts) != 2 or not all(map(_is_uint, parts)):
             raise ParseError(f"line {lineno}: expected a pair of element numbers")
         x, y = int(parts[0]), int(parts[1])
         if not (1 <= x <= n and 1 <= y <= n):

@@ -13,7 +13,6 @@ from fishburn import (
     Poset,
     TriMatrix,
     family_member,
-    is_fishburn,
     reduced_size,
 )
 
@@ -90,7 +89,7 @@ def brute_self_dual_mirrored(n, max_dim):
                     if i + j > dim + 1:
                         rows[i - 1][j - 1] = rows[dim - j][dim - i]
             m = TriMatrix(tuple(tuple(row) for row in rows))
-            if is_fishburn(m):
+            if family_member(FamilyTag.FISHBURN, m):
                 found.add(m)
     return found
 

@@ -14,15 +14,15 @@ from fishburn import (
     count_refined,
     embed_rm_in_b,
     enumerate_family,
+    family_member,
     fishburn_to_poset,
-    is_self_dual,
     is_self_dual_poset,
-    is_sm_member,
     poset_to_fishburn,
     project_b_to_signed_rm,
     stats,
     verify_identity,
 )
+from fishburn.matrices import selfdual_violation
 from oracles import (
     all_posets,
     brute_canonical,
@@ -137,7 +137,7 @@ def test_criterion_7_poset_leg_to_size_5():
             for m in matrices:
                 p = fishburn_to_poset(m)
                 assert poset_to_fishburn(p) == m
-                assert is_self_dual_poset(p) == is_self_dual(m)
+                assert is_self_dual_poset(p) == (selfdual_violation(m) is None)
         # independent cross-check: enumerate every poset and count the
         # isomorphism classes of the interval orders among them
         for n in range(1, 5):
@@ -161,7 +161,7 @@ def test_criterion_8_generators_match_brute_force():
             found = set()
             for dim in range(1, 2 * n + 2, 2):
                 for m in upper_matrices(dim, n):
-                    if is_sm_member(m):
+                    if family_member(FamilyTag.SM, m):
                         found.add(m)
             assert set(enumerate_family(FamilyTag.SM, n)) == found
         # the reduced-size family: unrestricted scan through size 3, free

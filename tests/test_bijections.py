@@ -23,14 +23,14 @@ from fishburn import (
     em_to_sm,
     embed_rm_in_b,
     enumerate_family,
-    is_sm_member,
-    is_super_triangular,
+    family_member,
     project_b_to_signed_rm,
     reduced_size,
     selfdual_to_signed_rm,
     sm_to_em,
     stats,
 )
+from fishburn.matrices import super_triangular_violation
 from matrix_strategies import (
     b_members,
     row_fishburn_matrices,
@@ -103,7 +103,7 @@ def test_alpha_roundtrip_exhaustive_small():
     for n in range(1, 4):
         for m in enumerate_family(FamilyTag.SELF_DUAL, n):
             image = alpha(m)
-            assert is_sm_member(image)
+            assert family_member(FamilyTag.SM, image)
             assert image.size() == n
             assert alpha_inv(image) == m
         for s in enumerate_family(FamilyTag.SM, n):
@@ -122,7 +122,7 @@ def test_alpha_statistic_transport_exhaustive_small():
 @given(self_dual_fishburn_matrices())
 def test_alpha_roundtrip_generated(m):
     image = alpha(m)
-    assert is_sm_member(image)
+    assert family_member(FamilyTag.SM, image)
     assert image.size() == reduced_size(m)
     assert alpha_inv(image) == m
 
@@ -151,7 +151,7 @@ def test_beta_intermediates_stay_in_shape():
     for label, snapshot in trace.steps:
         if label.startswith("A("):
             assert snapshot.dim % 2 == 1
-            assert is_super_triangular(snapshot)
+            assert super_triangular_violation(snapshot) is None
             assert snapshot.size() == A6.size()
 
 
@@ -333,7 +333,7 @@ def test_parity_embedding_exhaustive_small():
             if m.dim % 2:
                 continue
             image = em_to_sm(m)
-            assert is_sm_member(image)
+            assert family_member(FamilyTag.SM, image)
             assert stats(image).center_col_sum == 0
             assert stats(image).first_row_sum == stats(m).first_row_sum
             assert image.size() == n

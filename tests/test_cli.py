@@ -64,6 +64,17 @@ def test_verify_all_golden_bytes(capsys):
     assert out == (GOLDEN / "verify_all_5.txt").read_text()
 
 
+def test_verify_without_asserts():
+    # python -O strips assert statements, so no invariant may rest on one
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "fishburn", "verify", "--identity", "all",
+         "--max-size", "4"],
+        capture_output=True, text=True, check=False)
+    golden = (GOLDEN / "verify_all_5.txt").read_text().splitlines(keepends=True)
+    assert result.returncode == 0
+    assert result.stdout == "".join(line for line in golden if " n=5: " not in line)
+
+
 def test_verify_failure_prints_counterexample(monkeypatch, capsys):
     chain = enumeration.selfdual_to_signed_rm
 

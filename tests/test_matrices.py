@@ -1,37 +1,48 @@
 """Carrier type, family predicates, duality, reduction, and text format."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 
 from fishburn import (
     CellClass,
+    FamilyTag,
     NotExpandable,
     NotFishburn,
     NotSelfDual,
     NotSuperTriangular,
     Parity,
     ParseError,
+    Poset,
+    SignedRowFishburn,
     TriMatrix,
+    alpha,
+    alpha_inv,
+    beta,
+    beta_inv,
     cell_class,
     dual,
+    em_to_sm,
+    embed_rm_in_b,
     expand,
+    family_violation,
+    fishburn_to_poset,
     format_matrix,
-    is_b_member,
-    is_expandable,
-    is_fishburn,
-    is_row_fishburn,
-    is_self_dual,
-    is_sm_member,
-    is_super_triangular,
+    format_poset,
     parse_matrix,
+    project_b_to_signed_rm,
     reduce,
     reduced_size,
+    selfdual_to_signed_rm,
+    sm_to_em,
     stats,
 )
 from fishburn.matrices import (
     b_violation,
     expandable_violation,
     fishburn_violation,
+    row_fishburn_violation,
     selfdual_violation,
     sm_violation,
     super_triangular_violation,
@@ -146,7 +157,7 @@ def test_dual_preserves_size_and_swaps_line_sums(m):
 
 @given(upper_matrices())
 def test_self_dual_means_equal_to_dual(m):
-    assert is_self_dual(m) == (dual(m) == m)
+    assert (selfdual_violation(m) is None) == (dual(m) == m)
 
 
 def test_selfdual_violation_names_cell_pair():
@@ -158,27 +169,26 @@ def test_selfdual_violation_names_cell_pair():
 
 
 def test_fishburn_predicate():
-    assert is_fishburn(A5)
+    assert fishburn_violation(A5) is None
     assert fishburn_violation(TriMatrix(((0, 1), (0, 1)))) == "column 1 zero"
     assert fishburn_violation(TriMatrix(((0, 0), (0, 1)))) == "row 1 zero"
 
 
 def test_row_fishburn_predicate():
-    assert is_row_fishburn(TriMatrix(((0, 1), (0, 1))))
-    assert not is_row_fishburn(TriMatrix(((1, 0), (0, 0))))
+    assert row_fishburn_violation(TriMatrix(((0, 1), (0, 1)))) is None
+    assert row_fishburn_violation(TriMatrix(((1, 0), (0, 0)))) == "row 2 zero"
 
 
 def test_super_triangular_predicate():
-    assert is_super_triangular(R5)
-    assert not is_super_triangular(A5)
+    assert super_triangular_violation(R5) is None
     msg = super_triangular_violation(A5)
     assert msg == "SE cell (3, 4) holds 1, want 0"
 
 
 def test_sm_predicate():
-    assert is_sm_member(S5)
-    assert is_sm_member(A6)
-    assert is_sm_member(TriMatrix(((1,),)))
+    assert sm_violation(S5) is None
+    assert sm_violation(A6) is None
+    assert sm_violation(TriMatrix(((1,),))) is None
     assert sm_violation(TriMatrix(((1, 0), (0, 1)))) == "dimension 2 even"
     # column 1 empty breaks the leading-columns condition
     bad = TriMatrix(((0, 1, 0), (0, 1, 0), (0, 0, 0)))
@@ -192,12 +202,16 @@ def test_sm_predicate():
         (0, 0, 0, 0, 0),
     ))
     assert sm_violation(bad) == "row 2 and column 4 both zero"
+    # pairs (3, 5) and (2, 6) both fail; the innermost one is reported
+    bad = TriMatrix.from_rows(
+        [1, 1, 1, 0, 0, 0, 0], *([0] * 7 for _ in range(6)))
+    assert sm_violation(bad) == "row 3 and column 5 both zero"
 
 
 def test_b_predicate():
-    assert is_b_member(TriMatrix(((0, 0), (0, 1))))
-    assert is_b_member(TriMatrix(((1,),)))
-    assert is_b_member(TriMatrix(((0,),)))
+    assert b_violation(TriMatrix(((0, 0), (0, 1)))) is None
+    assert b_violation(TriMatrix(((1,),))) is None
+    assert b_violation(TriMatrix(((0,),))) is None
     assert b_violation(TriMatrix(((1, 0), (0, 0)))) == "row 2 zero"
 
 
@@ -227,10 +241,10 @@ def test_expand_golden():
 
 
 def test_expand_rejects_nonexpandable():
-    assert is_expandable(R5)
+    assert expandable_violation(R5) is None
     # column 1 zero cannot be repaired by mirroring
     bad = TriMatrix(((0, 1), (0, 0)))
-    assert not is_expandable(bad)
+    assert expandable_violation(bad) == "column 1 zero"
     with pytest.raises(NotExpandable, match="column 1 zero"):
         expand(bad)
     # row 2 and column 4 both zero leave row 2 empty after mirroring
@@ -249,14 +263,12 @@ def test_expand_rejects_nonexpandable():
 def test_expand_requires_zero_se():
     with pytest.raises(NotSuperTriangular):
         expand(A5)
-    with pytest.raises(NotSuperTriangular):
-        is_expandable(A5)
 
 
 @given(self_dual_fishburn_matrices())
 def test_expand_inverts_reduce(m):
     r = reduce(m)
-    assert is_super_triangular(r)
+    assert super_triangular_violation(r) is None
     assert reduced_size(m) == r.size()
     assert expand(r) == m
 
@@ -326,3 +338,120 @@ def test_parse_errors():
         parse_matrix("2\n1 0\n-1 1\n")
     with pytest.raises(ParseError, match=r"cell \(2, 1\) lies below"):
         parse_matrix("2\n1 0\n1 1\n")
+
+
+# --- behaviour pin ------------------------------------------------------------------
+
+
+def _small_matrices(max_dim=5, max_size=4):
+    """Every upper-triangular matrix of dimension <= max_dim and size <=
+    max_size, ascending dimension, then in a fixed order of assignments."""
+    for d in range(1, max_dim + 1):
+        cells = [(i, j) for i in range(d) for j in range(i, d)]
+        values = [0] * len(cells)
+
+        def fill(t, budget):
+            if t == len(cells):
+                g = [[0] * d for _ in range(d)]
+                for (i, j), v in zip(cells, values):
+                    g[i][j] = v
+                yield TriMatrix(tuple(tuple(row) for row in g))
+                return
+            for v in range(budget + 1):
+                values[t] = v
+                yield from fill(t + 1, budget - v)
+            values[t] = 0
+
+        yield from fill(0, max_size)
+
+
+def _render(value):
+    if isinstance(value, TriMatrix):
+        return format_matrix(value)
+    if isinstance(value, SignedRowFishburn):
+        return f"{value.flag}\n{format_matrix(value.matrix)}"
+    if isinstance(value, Poset):
+        return format_poset(value)
+    return repr(value)
+
+
+_PINNED_MAPS = {
+    "alpha": alpha,
+    "alpha_inv": alpha_inv,
+    "beta": beta,
+    "beta_inv": beta_inv,
+    "em_to_sm": em_to_sm,
+    "sm_to_em": sm_to_em,
+    "embed_rm_in_b/0": lambda m: embed_rm_in_b(m, 0),
+    "embed_rm_in_b/1": lambda m: embed_rm_in_b(m, 1),
+    "project_b_to_signed_rm": project_b_to_signed_rm,
+    "selfdual_to_signed_rm": selfdual_to_signed_rm,
+    "reduce": reduce,
+    "expand": expand,
+    "reduced_size": reduced_size,
+    "fishburn_to_poset": fishburn_to_poset,
+}
+
+# SHA-256 per check over all 5 127 small matrices; a changed digest names
+# the membership condition or map whose verdict, image or error changed
+_PINNED_DIGESTS = {
+    "family_violation/fishburn":
+        "b3ef09954966fc24c9f73d924f64b7c25bee7d94daf94c2fd0ec4fd343470a57",
+    "family_violation/self_dual":
+        "b5bee568233d5935d759c2abb8fae17b689cfc4ddebd9ce371566325e4d943df",
+    "family_violation/rm":
+        "700108f59210840d963dd56ffca6e1aed3e6dae3b7cdd03743af3a999cd58e02",
+    "family_violation/sm":
+        "454cea37bb476c6e9c47edf976511d3186561720ec0707f88de50d215d9ec65d",
+    "family_violation/b":
+        "493bd704293dc9f3968e0d8fbbf6c0827767d04f3a051d1dfc507e27064db456",
+    "alpha":
+        "b67beb00cbc96a22f51dea54b4eb7efaaa6108a4ea345ba3a5e47bdf9a30868b",
+    "alpha_inv":
+        "73efe2a776338fed8bdc5e791489b9bbddf53f04b3b85b5a2445e5cb27aa11ba",
+    "beta":
+        "b3e0b4dbd75539fbcb4f9d6687d914a891edf61ea62f56acb749f05aacf06ddf",
+    "beta_inv":
+        "7a4a45100228e38923d06700d0e08fc50cafc3f9d8a06290695e3287b4e42ac2",
+    "em_to_sm":
+        "5badf8adf069b870390a1e6e46ea41c425ffcc6549895b01bfcbff7cf5cb8e0b",
+    "sm_to_em":
+        "4aeefb8fd3b51ee01e39d12d078837ffcc23b11d4d6aba7affc8380479bc4e7f",
+    "embed_rm_in_b/0":
+        "9637c4117e44966ae890919d50bbafa8a3d59030178d9b16fe8a62973e8479a5",
+    "embed_rm_in_b/1":
+        "f0c210722c46df991adbf2f0f52466e9acdad1a4fca8517f71463b7e8538b1a1",
+    "project_b_to_signed_rm":
+        "da157318ffae5e7f50dab0e4bea7f1d5b3d99706835015c56a1fd5ef5e097ff4",
+    "selfdual_to_signed_rm":
+        "036996a024990d10b8b91abd3656146e1478054d5fb1a9a92afa56fe5872c3be",
+    "reduce":
+        "0338c00e60823be5f5e0e17c36e3b23dd4ef4d863211d6a3995947b9ec5c6d47",
+    "expand":
+        "112890bc79eb47ff7921fc8c5a36dc60a513eb9610c58c0b3153cd48847a5dce",
+    "reduced_size":
+        "19038ff726d697fb0c248f3a63519f52626a55219ffcf3408b6c9422ae4b0975",
+    "fishburn_to_poset":
+        "5b7358f65a0eebfa0c793612dea5d4bc64136e1115a91d5b18f3d5496d5533c8",
+}
+
+
+def test_membership_and_maps_pinned_on_small_matrices():
+    matrices = list(_small_matrices())
+    assert len(matrices) == 5127
+    digests = {}
+    for family in FamilyTag:
+        h = hashlib.sha256()
+        for m in matrices:
+            h.update(f"{family_violation(family, m)}\n".encode())
+        digests[f"family_violation/{family.value}"] = h.hexdigest()
+    for name, fn in _PINNED_MAPS.items():
+        h = hashlib.sha256()
+        for m in matrices:
+            try:
+                out = _render(fn(m))
+            except ValueError as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            h.update(f"{out}\n".encode())
+        digests[name] = h.hexdigest()
+    assert digests == _PINNED_DIGESTS

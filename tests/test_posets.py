@@ -18,7 +18,6 @@ from fishburn import (
     fishburn_to_poset,
     format_poset,
     is_interval_order,
-    is_self_dual,
     is_self_dual_poset,
     level_decomposition,
     parse_poset,
@@ -26,6 +25,7 @@ from fishburn import (
     reduced_size,
     reduced_size_of_interval_order,
 )
+from fishburn.matrices import selfdual_violation
 from matrix_strategies import fishburn_matrices
 from oracles import all_posets, brute_canonical, downsets_form_chain
 from vectors import A5, INTERVAL_ORDER_COUNTS, POSET_MATRIX, POSET_RELATION
@@ -172,7 +172,7 @@ def test_self_duality_is_isomorphism_invariant():
 def test_poset_self_duality_matches_matrix_self_duality():
     for n in range(1, 5):
         for m in enumerate_family(FamilyTag.FISHBURN, n):
-            assert is_self_dual_poset(fishburn_to_poset(m)) == is_self_dual(m)
+            assert is_self_dual_poset(fishburn_to_poset(m)) == (selfdual_violation(m) is None)
 
 
 # --- isomorphism classes ----------------------------------------------------------
@@ -241,6 +241,11 @@ def test_parse_poset_errors():
         parse_poset("")
     with pytest.raises(ParseError, match="element count"):
         parse_poset("0\n")
+    # digits outside ASCII are not element numbers
+    with pytest.raises(ParseError, match="element count"):
+        parse_poset("\u0663\n")
+    with pytest.raises(ParseError, match="element count"):
+        parse_poset("\u00b2\n")
     with pytest.raises(ParseError, match="pair of element numbers"):
         parse_poset("2\n1\n")
     with pytest.raises(ParseError, match="outside elements"):
