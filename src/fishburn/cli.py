@@ -8,9 +8,10 @@ Four subcommands, each a thin wrapper over the library:
     check   report family membership and statistics for a matrix
 
 Tables and matrices go to standard output and are byte-stable across runs;
-wall-clock timings go to standard error.  Exit status is 0 when every
-requested check passes, 1 when a check or membership predicate fails, and
-2 on unusable input (bad flags, unreadable files, malformed matrix text).
+wall-clock timings, one per size for verify, go to standard error.  Exit
+status is 0 when every requested check passes, 1 when a check or
+membership predicate fails, and 2 on unusable input (bad flags, unreadable
+files, malformed matrix text).
 """
 
 import argparse
@@ -24,11 +25,13 @@ from .enumeration import (
     FamilyTag,
     count_refined,
     family_violation,
-    verify_identity,
+    verify_identities,
+    verify_identity,  # unused here; perfbench's tracer tests patch this binding
 )
 from .matrices import (
     MatrixConditionError,
     ParseError,
+    _is_uint,
     format_matrix,
     parse_matrix,
     stats,
@@ -39,17 +42,11 @@ from .matrices import (
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of one subcommand.
+    """Outcome of one subcommand: the exact standard-output payload and the
+    (label, seconds) timings."""
 
-    ``output`` is the exact standard-output payload.  ``counterexample``
-    holds the first failing matrix in text format and is set only when
-    ``passed`` is False.  ``timings`` holds (label, seconds) pairs.
-    """
-
-    command: str
     passed: bool
     output: str
-    counterexample: str = None
     timings: tuple = ()
 
 
@@ -57,35 +54,31 @@ class RunReport:
 
 
 def cmd_verify(identity, max_size):
-    """Run one identity, or all of them, at every total from 1 to max_size."""
+    """Run one identity, or all of them, in one pass per size up to max_size."""
     names = IDENTITIES if identity == "all" else (identity,)
-    lines = []
+    by_size = []
     timings = []
-    counterexample = None
-    passed = True
-    for name in names:
-        for n in range(1, max_size + 1):
-            started = time.perf_counter()
-            report = verify_identity(name, n)
-            timings.append((f"{name} n={n}", time.perf_counter() - started))
-            verdict = "pass" if report.passed else "FAIL"
-            lines.append(f"{name} n={n}: {verdict} ({report.detail})")
-            if not report.passed:
-                passed = False
-                if counterexample is None and report.counterexample is not None:
-                    counterexample = format_matrix(report.counterexample)
+    for n in range(1, max_size + 1):
+        started = time.perf_counter()
+        by_size.append(verify_identities(names, n))
+        timings.append((f"{identity} n={n}", time.perf_counter() - started))
+    reports = [report for row in zip(*by_size) for report in row]
+    lines = [f"{r.identity} n={r.n}: {'pass' if r.passed else 'FAIL'} ({r.detail})"
+             for r in reports]
+    passed = all(r.passed for r in reports)
     lines.append("all checks passed" if passed else "FAILURES detected")
     output = "\n".join(lines) + "\n"
-    if counterexample is not None:
-        output += "counterexample:\n" + counterexample
-    return RunReport("verify", passed, output, counterexample, tuple(timings))
+    witness = next((r.counterexample for r in reports if r.counterexample is not None), None)
+    if witness is not None:
+        output += "counterexample:\n" + format_matrix(witness)
+    return RunReport(passed, output, tuple(timings))
 
 
 def cmd_count(family, n, output_format):
     """Print the refined count table for one family at one total."""
     table = count_refined(family, n)
     payload = table.to_csv() if output_format == "csv" else table.to_json()
-    return RunReport("count", True, payload)
+    return RunReport(True, payload)
 
 
 _BIJECTIONS = {
@@ -126,7 +119,7 @@ def cmd_map(bijection, input_path, trace=False):
         pieces.append(format_matrix(image))
     if flag is not None:
         pieces.append(f"flag: {flag}\n")
-    return RunReport("map", True, "".join(pieces))
+    return RunReport(True, "".join(pieces))
 
 
 def cmd_check(family, input_path):
@@ -149,9 +142,7 @@ def cmd_check(family, input_path):
     lines.append(f"last_col_sum: {vector.last_col_sum}")
     lines.append(f"dim: {vector.dim}")
     lines.append(f"dim_parity: {vector.dim_parity.value}")
-    passed = violation is None
-    return RunReport("check", passed, "\n".join(lines) + "\n",
-                     format_matrix(m) if not passed else None)
+    return RunReport(violation is None, "\n".join(lines) + "\n")
 
 
 # --- argument plumbing -----------------------------------------------------------
@@ -165,13 +156,9 @@ def _read_input(path):
 
 
 def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer")
-    return value
+    if not _is_uint(text) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 _FAMILY_NAMES = tuple(tag.value for tag in FamilyTag)

@@ -9,12 +9,14 @@ contract: ascending dimension, then ascending lexicographic order on the
 row-major entry sequence.  The unpruned composition scan lives in the test
 suite as an independent oracle.
 
-``verify_identity`` checks each counting identity two ways.  An identity
-is a spec: count tables that must agree, and transport legs.  A leg pairs
+``verify_identities`` checks counting identities two ways.  An identity is
+a spec: count tables that must agree, and transport legs.  A leg pairs
 source members with keys, names a map, and gives the target family as a
 table from each target to its key; one routine checks every leg for
 injectivity, escape from the target set, image-set equality and key
 transport, reading image keys from that table rather than recomputing them.
+The identities at one size share one pass, which builds each family's
+statistics and each map image once.
 """
 
 import csv
@@ -23,7 +25,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .bijections import (
     SignedRowFishburn,
@@ -212,6 +214,8 @@ def enumerate_family(family, n):
     """Every member of the family at size n (reduced size for SELF_DUAL),
     each exactly once, ascending dimension then ascending row-major
     lexicographic order."""
+    if not isinstance(family, FamilyTag):
+        raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     return tuple(_GENERATORS[family](n))
@@ -330,22 +334,18 @@ def _check_leg(leg):
     return None
 
 
-def _with_stats(family, n):
-    return [(m, stats(m)) for m in enumerate_family(family, n)]
-
-
-def _spec(identity, n):
+def _spec(identity, n, with_stats, chain, signed):
     """(count tables that must agree, transport legs, passing detail) for
     one identity at size n.  eq1, eq2 and eq3 map slices of the self-dual
     family through the chain into rm x {1}, rm x {0} and rm x {0, 1}; eq4
     embeds rm x {0, 1} into b; eq8 sends the even half of the self-dual
     family into the zero-center slice of sm and that slice on into rm."""
     if identity == "eq8":
-        selfdual = _with_stats(FamilyTag.SELF_DUAL, n)
+        selfdual = with_stats(FamilyTag.SELF_DUAL)
         even = [(m, st.first_row_sum) for m, st in selfdual if m.dim % 2 == 0]
         odd = [(m, st.first_row_sum) for m, st in selfdual if m.dim % 2 == 1]
-        rm_k = {r: st.last_col_sum for r, st in _with_stats(FamilyTag.RM, n)}
-        zero_center = {s: st.first_row_sum for s, st in _with_stats(FamilyTag.SM, n)
+        rm_k = {r: st.last_col_sum for r, st in with_stats(FamilyTag.RM)}
+        zero_center = {s: st.first_row_sum for s, st in with_stats(FamilyTag.SM)
                        if st.center_col_sum == 0}
         tables = [Counter(k for _, k in even), Counter(k for _, k in odd),
                   Counter(rm_k.values())]
@@ -359,26 +359,27 @@ def _spec(identity, n):
     if identity == "eq1":
         leg = _Leg("the map chain on the zero-sum slice",
                    [(m, st.first_row_sum)
-                    for m, st in _with_stats(FamilyTag.SELF_DUAL, n) if st.diag_sum == 0],
-                   selfdual_to_signed_rm,
-                   {SignedRowFishburn(r, 1): stats(r).last_col_sum for r in rm})
+                    for m, st in with_stats(FamilyTag.SELF_DUAL) if st.diag_sum == 0],
+                   chain,
+                   {signed(r, 1): st.last_col_sum
+                    for r, st in with_stats(FamilyTag.RM)})
         classes = "first-row classes"
     elif identity == "eq2":
         leg = _Leg("the map chain on the positive-sum slice",
                    [(m, (st.first_row_sum, st.diag_sum))
-                    for m, st in _with_stats(FamilyTag.SELF_DUAL, n) if st.diag_sum >= 1],
-                   selfdual_to_signed_rm,
-                   {SignedRowFishburn(r, 0): (st.last_col_sum, st.first_row_sum)
-                    for r, st in zip(rm, map(stats, rm))})
+                    for m, st in with_stats(FamilyTag.SELF_DUAL) if st.diag_sum >= 1],
+                   chain,
+                   {signed(r, 0): (st.last_col_sum, st.first_row_sum)
+                    for r, st in with_stats(FamilyTag.RM)})
         classes = "refined classes"
     elif identity == "eq3":
         leg = _Leg("the full map chain",
                    [(m, None) for m in enumerate_family(FamilyTag.SELF_DUAL, n)],
-                   selfdual_to_signed_rm,
-                   dict.fromkeys(SignedRowFishburn(r, flag) for r in rm for flag in (0, 1)))
+                   chain,
+                   dict.fromkeys(signed(r, flag) for r in rm for flag in (0, 1)))
     else:
         leg = _Leg("the embedding",
-                   [(SignedRowFishburn(r, flag), None) for r in rm for flag in (0, 1)],
+                   [(signed(r, flag), None) for r in rm for flag in (0, 1)],
                    lambda s: embed_rm_in_b(s.matrix, s.flag),
                    dict.fromkeys(enumerate_family(FamilyTag.B, n)),
                    inverse=project_b_to_signed_rm)
@@ -390,15 +391,22 @@ def _spec(identity, n):
     return tables, [leg], f"{len(leg.sources)} = {len(rm)} over {len(tables[0])} {classes}"
 
 
-def verify_identity(identity, n):
-    """Check one counting identity at one size, by refined count comparison
-    and again by member-by-member transport.  Failure is a report with a
-    witness, not an exception."""
-    if identity not in IDENTITIES:
-        raise ValueError(f"unknown identity {identity!r}, expected one of {IDENTITIES}")
+def verify_identities(identities, n):
+    """Check counting identities at one size by refined count comparison and
+    again by member-by-member transport, one report per identity in the
+    order given.  Failure is a report with a witness, not an exception."""
+    for identity in identities:
+        if identity not in IDENTITIES:
+            raise ValueError(f"unknown identity {identity!r}, expected one of {IDENTITIES}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    tables, legs, detail = _spec(identity, n)
+    # shared by the pass, each built on first use and dropped with the pass
+    with_stats = cache(lambda family: [(m, stats(m)) for m in enumerate_family(family, n)])
+    pieces = (with_stats, cache(selfdual_to_signed_rm), cache(SignedRowFishburn))
+    return [_verify(identity, n, *_spec(identity, n, *pieces)) for identity in identities]
+
+
+def _verify(identity, n, tables, legs, detail):
     if any(table != tables[0] for table in tables):
         return IdentityReport(identity, n, False, "count tables differ: "
                               + " vs ".join(str(dict(table)) for table in tables))
@@ -407,3 +415,8 @@ def verify_identity(identity, n):
         if failure is not None:
             return IdentityReport(identity, n, False, *failure)
     return IdentityReport(identity, n, True, detail)
+
+
+def verify_identity(identity, n):
+    """One identity at one size; see ``verify_identities``."""
+    return verify_identities((identity,), n)[0]

@@ -58,6 +58,14 @@ def test_verify_all_identities(capsys):
         assert any(line.startswith(f"{ident} n=1: pass") for line in lines)
 
 
+def test_verify_all_times_each_size(capsys):
+    assert main(["verify", "--identity", "all", "--max-size", "2"]) == 0
+    _, err = capsys.readouterr()
+    timing_lines = err.splitlines()
+    assert len(timing_lines) == 2
+    assert all(re.fullmatch(r"all n=\d+: \d+\.\d{3}s", line) for line in timing_lines)
+
+
 def test_verify_all_golden_bytes(capsys):
     assert main(["verify", "--identity", "all", "--max-size", "5"]) == 0
     out, _ = capsys.readouterr()
@@ -89,9 +97,15 @@ def test_verify_failure_prints_counterexample(monkeypatch, capsys):
     assert "FAILURES detected\ncounterexample:\n2\n1 0\n0 1\n" in out
 
 
-def test_verify_rejects_zero_bound():
+@pytest.mark.parametrize("value", ["0", "\u0663", " +2 ", "1_2"],
+                         ids=["zero", "arabic-indic-3", "sign-and-spaces", "underscore"])
+@pytest.mark.parametrize("command", [["verify", "--max-size"],
+                                     ["count", "--family", "rm", "--size"]],
+                         ids=["verify", "count"])
+def test_verify_rejects_zero_bound(command, value):
+    # sizes follow the matrix parser's rule: ASCII digits only
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--max-size", "0"])
+        main(command + [value])
     assert exc.value.code == 2
 
 

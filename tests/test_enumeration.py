@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from fishburn import (
+    IDENTITIES,
     FamilyTag,
     Parity,
     SignedRowFishburn,
@@ -20,6 +21,7 @@ from fishburn import (
     verify_identity,
 )
 from fishburn import enumeration
+from fishburn.enumeration import verify_identities
 from vectors import A5, A6, B_1, M_1, RM_2_ORDER, SM_1
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -81,6 +83,11 @@ def test_leading_counts():
 def test_enumerate_rejects_nonpositive_size():
     with pytest.raises(ValueError):
         enumerate_family(FamilyTag.RM, 0)
+    # a family is a FamilyTag, not its value
+    with pytest.raises(ValueError, match="unknown family 'rm'"):
+        enumerate_family("rm", 2)
+    with pytest.raises(ValueError, match="unknown family 'rm'"):
+        count_refined("rm", 2)
 
 
 def test_enumeration_is_deterministic():
@@ -191,6 +198,56 @@ def test_parity_split_is_even():
             rm[k] = rm.get(k, 0) + count
         assert even == odd == rm
 
+
+# --- one pass per size ---------------------------------------------------------------
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of chain, stats and SignedRowFishburn calls made after setup."""
+    counts = dict.fromkeys(("chain", "stats", "signed"), 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for family in FamilyTag:
+        enumerate_family(family, 4)
+    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm",
+                        counting("chain", enumeration.selfdual_to_signed_rm))
+    monkeypatch.setattr(enumeration, "stats", counting("stats", enumeration.stats))
+    monkeypatch.setattr(SignedRowFishburn, "__post_init__",
+                        counting("signed", SignedRowFishburn.__post_init__))
+    return counts
+
+
+def test_one_pass_maps_each_member_once(calls):
+    reports = verify_identities(IDENTITIES, 4)
+    members = {family: len(enumerate_family(family, 4)) for family in FamilyTag}
+    assert calls["chain"] == members[FamilyTag.SELF_DUAL]
+    assert calls["stats"] <= (members[FamilyTag.SELF_DUAL] + members[FamilyTag.RM]
+                              + members[FamilyTag.SM])
+    assert reports == [verify_identity(identity, 4) for identity in IDENTITIES]
+
+
+# (chain, stats, SignedRowFishburn) calls of each identity checked alone at
+# n = 4 when every identity was checked from scratch
+ALONE_AT_4 = {
+    "eq1": (61, 183, 122),
+    "eq2": (61, 183, 122),
+    "eq3": (122, 0, 244),
+    "eq4": (0, 0, 244),
+    "eq8": (0, 305, 61),
+}
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+def test_identity_alone_does_no_extra_work(calls, identity):
+    assert verify_identity(identity, 4).passed
+    made = (calls["chain"], calls["stats"], calls["signed"])
+    assert all(now <= before for now, before in zip(made, ALONE_AT_4[identity]))
 
 # --- injected faults ---------------------------------------------------------------
 # Each test breaks one map where the checker looks it up and asserts that the
@@ -311,3 +368,10 @@ def test_constant_parity_embedding_fails_eq8(monkeypatch):
     report = verify_identity("eq8", 3)
     assert report.passed is False
     assert report.counterexample == even[0]
+
+
+def test_flipped_chain_in_one_pass_matches_single_checks(monkeypatch):
+    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm", _flipped_chain)
+    reports = verify_identities(("eq1", "eq2", "eq3"), 3)
+    assert [report.passed for report in reports] == [False, False, True]
+    assert reports == [verify_identity(identity, 3) for identity in ("eq1", "eq2", "eq3")]
