@@ -9,6 +9,10 @@ contract: ascending dimension, then ascending lexicographic order on the
 row-major entry sequence.  The unpruned composition scan lives in the test
 suite as an independent oracle.
 
+``count_refined`` streams the walk, tallying each member's key as it is
+built and keeping none; ``enumerate_family``, which the identity checker
+uses, is the one path that materialises a family, and it caches the tuple.
+
 ``verify_identities`` checks counting identities two ways.  An identity is
 a spec: count tables that must agree, and transport legs.  A leg pairs
 source members with keys, names a map, and gives the target family as a
@@ -38,7 +42,12 @@ from .bijections import (
 from .matrices import (
     Parity,
     TriMatrix,
+    _center_col_sum,
+    _diag_sum,
+    _dim_parity,
     _expand,
+    _first_row_sum,
+    _last_col_sum,
     _pairing_violation,
     b_violation,
     fishburn_violation,
@@ -104,84 +113,124 @@ def _fill_assignments(cells, total, need_rows, need_cols):
     """Yield row-major-ascending value tuples over ``cells`` summing to
     ``total``, touching every row in need_rows and column in need_cols.
 
-    Prunes a branch when a needed row or column has passed its last cell
-    without mass, or when the remaining mass cannot cover the pending rows
-    and columns (one cell can serve one row and one column at once, so the
-    bound is the larger pending count).
+    The walk goes depth first over the cells, each taking 0 first and then
+    1, 2, ... up to the mass left.  Pending lines are kept as two counts,
+    rows and columns, plus one "still open" flag per line: a positive value
+    closes its cell's row and column, and backing out of the cell reopens
+    them.  A cell where a still-open line ends starts at 1 instead of 0, and
+    a branch is pruned when the mass left is below the larger pending count
+    (one cell can serve one row and one column at once).  The last cell
+    takes all the mass left, the one value that can complete the tuple.
     """
     last_row = {}
     last_col = {}
     for t, (i, j) in enumerate(cells):
         last_row[i] = t
         last_col[j] = t
-    need_rows = frozenset(need_rows)
-    need_cols = frozenset(need_cols)
     if any(r not in last_row for r in need_rows):
         return
     if any(c not in last_col for c in need_cols):
         return
-    n_cells = len(cells)
-    values = [0] * n_cells
-
-    def walk(t, remaining, rows_pending, cols_pending):
-        if t == n_cells:
-            if remaining == 0 and not rows_pending and not cols_pending:
+    row_open = {i: i in need_rows for i in last_row}
+    col_open = {j: j in need_cols for j in last_col}
+    # per cell: its row and column, and whether it is the last cell of each
+    plan = [(i, j, last_row[i] == t, last_col[j] == t)
+            for t, (i, j) in enumerate(cells)]
+    last = len(cells) - 1
+    values = [0] * len(cells)
+    # one frame per cell entered: the mass left and the pending counts
+    # before it, and whether its row and column were open
+    frames = []
+    t = 0
+    remaining = total
+    rows_pending = len(set(need_rows))
+    cols_pending = len(set(need_cols))
+    while True:
+        if remaining >= rows_pending and remaining >= cols_pending:
+            if t == last:
+                # every other line has met its last cell, so all the
+                # remaining mass goes here
+                values[t] = remaining
                 yield tuple(values)
-            return
-        if remaining < max(len(rows_pending), len(cols_pending)):
-            return
-        i, j = cells[t]
-        last_chance = ((i in rows_pending and last_row[i] == t)
-                       or (j in cols_pending and last_col[j] == t))
-        start = 1 if last_chance else 0
-        for v in range(start, remaining + 1):
-            values[t] = v
-            if v:
-                yield from walk(t + 1, remaining - v,
-                                rows_pending - {i} if i in rows_pending else rows_pending,
-                                cols_pending - {j} if j in cols_pending else cols_pending)
+                values[t] = 0
             else:
-                yield from walk(t + 1, remaining, rows_pending, cols_pending)
-        values[t] = 0
+                i, j, row_ends, col_ends = plan[t]
+                open_i = row_open[i]
+                open_j = col_open[j]
+                frames.append((remaining, rows_pending, cols_pending, open_i, open_j))
+                if open_i and row_ends or open_j and col_ends:
+                    row_open[i] = col_open[j] = False
+                    rows_pending -= open_i
+                    cols_pending -= open_j
+                    values[t] = 1
+                    remaining -= 1
+                t += 1
+                continue
+        # back up to the nearest cell that can take one more unit
+        while True:
+            if not frames:
+                return
+            t -= 1
+            before, rows_pending, cols_pending, open_i, open_j = frames[-1]
+            i, j = cells[t]
+            if values[t] < before:
+                break
+            values[t] = 0
+            row_open[i] = open_i
+            col_open[j] = open_j
+            frames.pop()
+        values[t] += 1
+        remaining = before - values[t]
+        row_open[i] = col_open[j] = False
+        rows_pending -= open_i
+        cols_pending -= open_j
+        t += 1
 
-    yield from walk(0, total, need_rows, need_cols)
 
+def _builder(d, cells):
+    """The map from a value tuple over ``cells`` to the dimension-d matrix
+    holding those values there and zeros elsewhere.  In both cell lists each
+    row's cells are one run that starts on the main diagonal, so every row
+    is zeros, a slice of the values, then zeros."""
+    runs = []
+    t = 0
+    for i in range(1, d + 1):
+        width = sum(1 for r, _ in cells if r == i)
+        runs.append(((0,) * (i - 1), t, t + width, (0,) * (d + 1 - i - width)))
+        t += width
 
-def _build(d, cells, values):
-    g = [[0] * d for _ in range(d)]
-    for (i, j), v in zip(cells, values):
-        g[i - 1][j - 1] = v
-    return TriMatrix(tuple(tuple(row) for row in g))
+    def build(values):
+        return TriMatrix(tuple(left + values[a:b] + right for left, a, b, right in runs))
+
+    return build
 
 
 def _gen_fishburn(n):
     for d in range(1, n + 1):
         cells = _upper_cells(d)
         lines = range(1, d + 1)
-        for vals in _fill_assignments(cells, n, lines, lines):
-            yield _build(d, cells, vals)
+        yield from map(_builder(d, cells), _fill_assignments(cells, n, lines, lines))
 
 
 def _gen_rm(n):
     for d in range(1, n + 1):
         cells = _upper_cells(d)
-        for vals in _fill_assignments(cells, n, range(1, d + 1), ()):
-            yield _build(d, cells, vals)
+        yield from map(_builder(d, cells), _fill_assignments(cells, n, range(1, d + 1), ()))
 
 
 def _gen_b(n):
     for d in range(1, n + 2):
         cells = _upper_cells(d)
-        for vals in _fill_assignments(cells, n, range(2, d + 1), ()):
-            yield _build(d, cells, vals)
+        yield from map(_builder(d, cells), _fill_assignments(cells, n, range(2, d + 1), ()))
 
 
 def _gen_sm(n):
     for d in range(1, 2 * n + 2, 2):
         k = (d - 1) // 2
         cells = _non_se_cells(d)
+        build = _builder(d, cells)
         for vals in _fill_assignments(cells, n, (), range(1, k + 1)):
-            m = _build(d, cells, vals)
+            m = build(vals)
             if _pairing_violation(m, range(1, k + 1)) is None:
                 yield m
 
@@ -194,8 +243,9 @@ def _gen_self_dual(n):
     for d in range(1, 2 * n + 1):
         h = (d + 1) // 2
         cells = _non_se_cells(d)
+        build = _builder(d, cells)
         for vals in _fill_assignments(cells, n, (), range(1, h + 1)):
-            r = _build(d, cells, vals)
+            r = build(vals)
             if _pairing_violation(r, range(1, h + 1)) is None:
                 yield _expand(r)
 
@@ -209,16 +259,21 @@ _GENERATORS = {
 }
 
 
+def _walk(family, n):
+    """An iterator over the members ``enumerate_family`` lists, one at a time."""
+    if not isinstance(family, FamilyTag):
+        raise ValueError(f"unknown family {family!r}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return _GENERATORS[family](n)
+
+
 @lru_cache(maxsize=None)
 def enumerate_family(family, n):
     """Every member of the family at size n (reduced size for SELF_DUAL),
     each exactly once, ascending dimension then ascending row-major
     lexicographic order."""
-    if not isinstance(family, FamilyTag):
-        raise ValueError(f"unknown family {family!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return tuple(_GENERATORS[family](n))
+    return tuple(_walk(family, n))
 
 
 # --- refined counts ----------------------------------------------------------
@@ -233,12 +288,12 @@ def refinement_key(family, m):
     keep the dimension parity; RM and B refine by (last-column sum,
     first-row sum); SM refines by (first-row sum, center-column sum).
     """
-    st = stats(m)
+    rows = m.rows
     if family in (FamilyTag.FISHBURN, FamilyTag.SELF_DUAL):
-        return (st.first_row_sum, st.diag_sum, st.dim_parity)
+        return (_first_row_sum(rows), _diag_sum(rows), _dim_parity(rows))
     if family is FamilyTag.SM:
-        return (st.first_row_sum, st.center_col_sum, Parity.ANY)
-    return (st.last_col_sum, st.first_row_sum, Parity.ANY)
+        return (_first_row_sum(rows), _center_col_sum(rows), Parity.ANY)
+    return (_last_col_sum(rows), _first_row_sum(rows), Parity.ANY)
 
 
 @dataclass(frozen=True)
@@ -276,9 +331,9 @@ class CountTable:
 
 
 def count_refined(family, n):
-    members = enumerate_family(family, n)
-    cells = Counter(refinement_key(family, m) for m in members)
-    return CountTable(family=family, n=n, cells=dict(cells), total=len(members))
+    """The refined count table, read off the walk one member at a time."""
+    cells = Counter(refinement_key(family, m) for m in _walk(family, n))
+    return CountTable(family=family, n=n, cells=dict(cells), total=sum(cells.values()))
 
 
 # --- identity checker ---------------------------------------------------------

@@ -174,14 +174,6 @@ def cell_class(m, i, j):
     return CellClass.SE
 
 
-def _nw_diag_sum(m):
-    d = m.dim
-    return sum(v
-               for i, row in enumerate(m.rows, start=1)
-               for j, v in enumerate(row, start=1)
-               if i + j <= d + 1)
-
-
 # --- membership conditions -------------------------------------------------
 # Each *_violation function is the one definition of its condition: it
 # returns None when the condition holds, else a short description naming the
@@ -198,11 +190,13 @@ def require(violation, error, m):
 
 
 def selfdual_violation(m):
-    d = m.dim
-    for i in range(1, d + 1):
+    rows = m.rows
+    d = len(rows)
+    for i, row in enumerate(rows, start=1):
+        mirror_col = d - i
         for j in range(i, d + 1):
-            a = m.entry(i, j)
-            b = m.entry(d + 1 - j, d + 1 - i)
+            a = row[j - 1]
+            b = rows[d - j][mirror_col]
             if a != b:
                 return (f"cell ({i}, {j}) holds {a} but its mirror "
                         f"({d + 1 - j}, {d + 1 - i}) holds {b}")
@@ -210,15 +204,17 @@ def selfdual_violation(m):
 
 
 def _row_violation(m, first):
-    for i in range(first, m.dim + 1):
-        if m.row_sum(i) == 0:
+    for i, row in enumerate(m.rows[first - 1:], start=first):
+        if not any(row):
             return f"row {i} zero"
     return None
 
 
 def _column_violation(m, last):
-    for c in range(1, last + 1):
-        if m.col_sum(c) == 0:
+    for c, column in enumerate(zip(*m.rows), start=1):
+        if c > last:
+            break
+        if not any(column):
             return f"column {c} zero"
     return None
 
@@ -237,10 +233,10 @@ def b_violation(m):
 
 def super_triangular_violation(m):
     d = m.dim
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            if i + j > d + 1 and m.entry(i, j) != 0:
-                return f"SE cell ({i}, {j}) holds {m.entry(i, j)}, want 0"
+    for i, row in enumerate(m.rows, start=1):
+        for j in range(max(i, d + 2 - i), d + 1):
+            if row[j - 1] != 0:
+                return f"SE cell ({i}, {j}) holds {row[j - 1]}, want 0"
     return None
 
 
@@ -248,9 +244,10 @@ def _pairing_violation(m, rows):
     """The first i in ``rows`` whose row i and column m + 1 - i are both
     zero.  Mirroring a zero-SE matrix gives each of those two lines the
     entries of both, so after mirroring they are nonzero when one was."""
-    d = m.dim
+    lines = m.rows
+    d = len(lines)
     for i in rows:
-        if m.row_sum(i) == 0 and m.col_sum(d + 1 - i) == 0:
+        if not any(lines[i - 1]) and not any(row[d - i] for row in lines):
             return f"row {i} and column {d + 1 - i} both zero"
     return None
 
@@ -294,7 +291,7 @@ def reduced_size(m):
     """Sum over NW and diagonal cells.  Rejects non-self-dual input, where
     the quantity would depend on which half of the matrix is kept."""
     require(selfdual_violation, NotSelfDual, m)
-    return _nw_diag_sum(m)
+    return _nw_diag_sum(m.rows)
 
 
 def reduce(m):
@@ -332,20 +329,53 @@ def _expand(m):
 
 
 # --- statistics ------------------------------------------------------------
+# One helper per statistic, each over the row tuples of a matrix, so that
+# ``stats`` and ``enumeration.refinement_key`` share one definition.
+
+
+def _nw_diag_sum(rows):
+    """Sum over the cells (i, j) with i + j <= m + 1."""
+    d = len(rows)
+    return sum(sum(row[:d - i]) for i, row in enumerate(rows))
+
+
+def _first_row_sum(rows):
+    return sum(rows[0])
+
+
+def _diag_sum(rows):
+    """Sum over the diagonal cells (i, m + 1 - i) on or above the main
+    diagonal."""
+    d = len(rows)
+    return sum(rows[i][d - 1 - i] for i in range((d + 1) // 2))
+
+
+def _center_col_sum(rows):
+    """Sum of the center column, 0 for an even dimension."""
+    d = len(rows)
+    return sum(row[d // 2] for row in rows) if d % 2 else 0
+
+
+def _last_col_sum(rows):
+    return sum(row[-1] for row in rows)
+
+
+def _dim_parity(rows):
+    return Parity.ODD if len(rows) % 2 else Parity.EVEN
 
 
 def stats(m):
     """All per-matrix statistics in one bundle."""
-    d = m.dim
+    rows = m.rows
     return StatVector(
         size=m.size(),
-        reduced_size=_nw_diag_sum(m),
-        first_row_sum=m.row_sum(1),
-        diag_sum=sum(m.entry(i, d + 1 - i) for i in range(1, (d + 1) // 2 + 1)),
-        center_col_sum=m.col_sum((d + 1) // 2) if d % 2 else 0,
-        last_col_sum=m.col_sum(d),
-        dim=d,
-        dim_parity=Parity.ODD if d % 2 else Parity.EVEN,
+        reduced_size=_nw_diag_sum(rows),
+        first_row_sum=_first_row_sum(rows),
+        diag_sum=_diag_sum(rows),
+        center_col_sum=_center_col_sum(rows),
+        last_col_sum=_last_col_sum(rows),
+        dim=len(rows),
+        dim_parity=_dim_parity(rows),
     )
 
 

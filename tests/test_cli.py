@@ -287,6 +287,14 @@ def test_missing_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+def test_walkthrough_script_runs():
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "bijection_walkthrough.py"
+    result = subprocess.run([sys.executable, str(script)],
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()
+
+
 def test_module_entry_point(tmp_path):
     path = write_matrix(tmp_path, A5)
     result = subprocess.run(

@@ -1,6 +1,7 @@
 """Family enumeration order and completeness, refined count tables, and the
 five counting identities."""
 
+import hashlib
 import pathlib
 
 import pytest
@@ -90,6 +91,94 @@ def test_enumerate_rejects_nonpositive_size():
         count_refined("rm", 2)
 
 
+# SHA-256 of repr([m.rows for m in members]) and of count_refined(...).to_json()
+# for every family and n = 1..6, recorded from the recursive walk the
+# current one replaced; any change to the emission order or to a count
+# table changes a digest
+_WALK_DIGESTS = {
+    ("fishburn", 1): ("f2cb19bf566e9bf781b8e71a38981c8a1bb826bcc238e08031749d5b9c42af51",
+                      "e33b9a88c97873b85a0e30bf887109f1dee0b74e176f1130dc68d282772f7993"),
+    ("fishburn", 2): ("7c11abd38d3a892cfb24be3eda0018caee4b982fff45cfa6eb86810093fa34c8",
+                      "fb1b46f09f7ba116b83e64d899f311d9508d266cb4ed5971ec93a98faeebbf3d"),
+    ("fishburn", 3): ("b243516542f2f564a44f5b53fa42dec2f439f59d0a09d8a82b83d4bfdd5f3596",
+                      "cb3a26fecb6cabaca131403265c492e40a5f774b5765afa7b80b2883c61aad68"),
+    ("fishburn", 4): ("50fef426e06f6cf7cd0ad6026b6cba260ac19644c1e5e4555cbc0ad359b21576",
+                      "30dc2d7481bd7e56f1b1e1dac2514a94d2870d03348da225d901028ea70390db"),
+    ("fishburn", 5): ("262a1c904dcedcdd17288a5b0b92495fbcaa4968d20e371438b9cc75a60abfa7",
+                      "cb8deeb40b0317e6d56d824f0dad14ece86232960078760e8928079f70f3137a"),
+    ("fishburn", 6): ("dd94d6c71f18e583e7e73581914161a9ba972acb1f90daab615c61a235c2ced8",
+                      "7cffcfd5805d1e6341bd52438d2dd0427091b2894e53e50ac8b44d64babeb219"),
+    ("self_dual", 1): ("de9cd646d9058fa1663c6c5bc94f26f9c8bdf681abd1937055ee45541bb3c340",
+                       "59de618aeafddee451f98ebf33700ecbd5e676ebede029dee94d485fbae530c1"),
+    ("self_dual", 2): ("3935c7d33749431a1baf88f1caa24e4161435fa1ccb31b3cf654bd3b53614060",
+                       "b56bfc2dca6ecc00673e9f527da3e5470e195e37e995aa101d4ed4563cfd41f6"),
+    ("self_dual", 3): ("58c6eed7845d817e0994b670bc1b08ac870d858e6de7e7f88de3202ad0d31aa9",
+                       "4f3d25f7ab8dcdc3521cbde347824759ba2e4c7a4a8302e82b1f541e1dffcdd0"),
+    ("self_dual", 4): ("db186170d2e63cae5c3429643985b1e85b443397e8021aacecd1ef6ba96869b3",
+                       "9b9d5d674681683a8e7f1e3969a7df1e994a83d623ac4de719cb1556d51c1da0"),
+    ("self_dual", 5): ("46a71a785b21d4efd72871ccb53a4a65106d1a01a9f45c3d70d1fb857d69f448",
+                       "437a0fb5127c61acea31ae553ce7798bd95cee5af4a1aa5287f6a6824fc8a1e9"),
+    ("self_dual", 6): ("8b7eb57bde467529955e3cd1ce26b8f8cc7523b61701ca75fda87903029b751d",
+                       "4e6e3ef44076e4a8b4e4b8a3b7010b2c98a4efa96a364a380e796d35b12bc121"),
+    ("rm", 1): ("f2cb19bf566e9bf781b8e71a38981c8a1bb826bcc238e08031749d5b9c42af51",
+                "82c4877f1439268f5f90bc07b907c2e16de82d16913dfbb21772dde22aa0daf4"),
+    ("rm", 2): ("ef9ee4e0317531b37282c9bd2d9840e174b23f731463b1d76686137181383a31",
+                "058a921ab08810278650b65174d2824c1c0a136d30f170857639f707c5d5b983"),
+    ("rm", 3): ("69acff2b9982a3b140d270388e9b6dbdd19e1eb8043fea4bd9156ece955734de",
+                "091111ab67af2070c449cbacbf4eb78f787a6d9eaca3d6972fb1cef3d3b92ae9"),
+    ("rm", 4): ("848d6fd9725fc393f502bab0a3f935b14df6a8b92c370122d88c5dc62f8c9313",
+                "727d7d392a852c96b5d4be3abdee96cc1233a5fdcef900cd558b01d834b16e0d"),
+    ("rm", 5): ("2f321eb45591eee5b23ebace8d644c910abe225a42f519530173c04bff9eec34",
+                "2f8b5b2154721a5faeee2204be15bb823817979420e6a80db2fa6d016c8deba3"),
+    ("rm", 6): ("e259ab60811f459a45cffdc2a516e357d1b4384e35707b46c043353ed71674a6",
+                "5320f8311f82788b6cc47359c077ec488b6fe1e26a77120305e75d7f1b83b975"),
+    ("sm", 1): ("047d8c0a355aba2353550b4f272fe4da687324f0883b3edc7bcbc4aad5219c45",
+                "f8246121cb12e0c97fc7fa8e49d7c553009eb419cf7e5ec07ff753d21af53f67"),
+    ("sm", 2): ("27c700c0ddf5718e953323d0de2952a722d7de18266d0d5551c3ccf595ec57e8",
+                "622e3ae1da68e1331c6bd628edee6e57e209702697cbe12d82dfd0fd1d8877dc"),
+    ("sm", 3): ("66bac71ad47476a5ddd8175ecc8cbe2402e5778fad23d2e418b7c726d1b29db2",
+                "d94657d3134a69fc161f71e080d361032e2f17d845059fe2feefcaf556a1dcc7"),
+    ("sm", 4): ("f71d21fc490dc8e1d4b8a5b925fced3633f9079a10177edfc2d284ea518c319f",
+                "d6678fe3de64c1c81874e871318d5abdf85a9a6936908f683a45d2726de3c8e9"),
+    ("sm", 5): ("3e63e5486146635efd6c1a2b08355e8652663927728aaa3d1966c1c0dff272a2",
+                "fbc1cadd01b13755cd2f80996c90d877414295890f25000e2084cc7b1ca21bee"),
+    ("sm", 6): ("0248c2149c99f54dff67cb6ae591412bae7d47b68db6a5102b01c1f01fa8d64f",
+                "e2ffa62b01814da43eb8db9350f5436bb053e82d63f8156ac35408696fb9eab5"),
+    ("b", 1): ("52fff728db7c4273e51c68077de4defd4f00226ed97a9e751b21a0381d9335b1",
+               "bb39a33fb27d78551a154caf30aee4113c749b499613db9f2b9343a535b1eeb8"),
+    ("b", 2): ("ed62673c1633bc8cfc3fb30115ada94bf7c9dfd623212f65facafb5b0b79cce7",
+               "89f95ff1680736fa076b0f8f4e56dc0c92066f6510265ce057dd473613fc1296"),
+    ("b", 3): ("93fcbfeec28fee22d559cc8ee9a004a9c716d82b5d23e1221b903df4244d078b",
+               "b9bebdfed5ee57db641bff2bf35f719c8e2b1067b7dd4bb772bb33a7c50cc094"),
+    ("b", 4): ("aafcc692169be4940f68145d0b31258ca63948f16f9cec1e2da07ab1ad0fb01b",
+               "7fa7aa5141350d50730a22ac9ecd52d5f0f51d9301cfbbf7a2899d8a59cc20b2"),
+    ("b", 5): ("c7fa099a9ef4bac021b60464cd5b07ba3098d8647f28846de86426d739bad5a9",
+               "94dac687a5e5c4699413c31b1f9b74619d678db861e1bfac7958d187d76d82db"),
+    ("b", 6): ("8880571077e4221af1785b64e543598e52280c80a77d4bc97e9b23d3dcfbac3a",
+               "82aa1d79d917a59eb778016f1c7e5aaa07388efc82f2f4a14b08ae078c4cdd7b"),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", list(FamilyTag), ids=lambda f: f.value)
+def test_emission_order_and_count_tables_pinned(family):
+    for n in range(1, 7):
+        members = enumerate_family.__wrapped__(family, n)
+        assert (_sha256(repr([m.rows for m in members])),
+                _sha256(count_refined(family, n).to_json())) \
+            == _WALK_DIGESTS[(family.value, n)], n
+
+
+def test_count_refined_streams_without_the_cache():
+    before = enumerate_family.cache_info()
+    for family in FamilyTag:
+        count_refined(family, 3)
+    assert enumerate_family.cache_info() == before
+
+
 def test_enumeration_is_deterministic():
     # bypass the cache so two independent walks are compared
     walk = enumerate_family.__wrapped__
@@ -127,6 +216,23 @@ def test_refinement_keys():
         (1, 1, Parity.ANY)
     assert refinement_key(FamilyTag.B, TriMatrix(((0, 1), (0, 1)))) == \
         (2, 1, Parity.ANY)
+
+
+def _key_from_stats(family, m):
+    # the key as read from the full statistics bundle
+    st = stats(m)
+    if family in (FamilyTag.FISHBURN, FamilyTag.SELF_DUAL):
+        return (st.first_row_sum, st.diag_sum, st.dim_parity)
+    if family is FamilyTag.SM:
+        return (st.first_row_sum, st.center_col_sum, Parity.ANY)
+    return (st.last_col_sum, st.first_row_sum, Parity.ANY)
+
+
+def test_refinement_keys_agree_with_stats():
+    for family in FamilyTag:
+        for n in range(1, 6):
+            for m in enumerate_family(family, n):
+                assert refinement_key(family, m) == _key_from_stats(family, m), m
 
 
 # --- count tables -----------------------------------------------------------------

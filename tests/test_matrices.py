@@ -16,6 +16,7 @@ from fishburn import (
     ParseError,
     Poset,
     SignedRowFishburn,
+    StatVector,
     TriMatrix,
     alpha,
     alpha_inv,
@@ -303,6 +304,27 @@ def test_stats_center_column_is_zero_for_even_dims(m):
     else:
         assert v.center_col_sum == m.col_sum((m.dim + 1) // 2)
         assert v.dim_parity is Parity.ODD
+
+
+def _reference_stats(m):
+    # every statistic spelled out through the bounds-checked accessors
+    d = m.dim
+    return StatVector(
+        size=m.size(),
+        reduced_size=sum(m.entry(i, j) for i in range(1, d + 1)
+                         for j in range(i, d + 1) if i + j <= d + 1),
+        first_row_sum=m.row_sum(1),
+        diag_sum=sum(m.entry(i, d + 1 - i) for i in range(1, (d + 1) // 2 + 1)),
+        center_col_sum=m.col_sum((d + 1) // 2) if d % 2 else 0,
+        last_col_sum=m.col_sum(d),
+        dim=d,
+        dim_parity=Parity.ODD if d % 2 else Parity.EVEN,
+    )
+
+
+@given(upper_matrices(max_dim=7))
+def test_stats_match_accessor_reference(m):
+    assert stats(m) == _reference_stats(m)
 
 
 # --- text format -------------------------------------------------------------------
