@@ -11,6 +11,8 @@ family, plus the even-dimension embedding used by the parity-refined count.
 Each map checks each membership condition of its input once, at entry;
 a matrix one map builds is checked again where it enters another
 (``beta`` on the output of ``alpha``, ``expand`` inside ``alpha_inv``).
+The matrices a map builds are shaped by construction, so they skip the
+per-cell check of the public ``TriMatrix`` constructor.
 
 Every map can optionally record a trace: a sequence of labeled snapshots,
 one per algorithm step, with the input first and the output last.  Traces
@@ -66,13 +68,22 @@ class SignedRowFishburn:
             raise ValueError("flag must be 0 or 1")
         require(row_fishburn_violation, NotRowFishburn, self.matrix)
 
+    @classmethod
+    def _trusted(cls, matrix, flag):
+        """The pair without validation, for a matrix already known to have
+        every row nonzero and a flag of 0 or 1."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "matrix", matrix)
+        object.__setattr__(s, "flag", flag)
+        return s
+
 
 def _grid(m):
     return [list(row) for row in m.rows]
 
 
 def _freeze(g):
-    return TriMatrix(tuple(tuple(row) for row in g))
+    return TriMatrix._trusted(tuple(map(tuple, g)))
 
 
 def _insert_row(g, pos):
@@ -293,9 +304,11 @@ def project_b_to_signed_rm(m):
     if m.size() == 0:
         raise DegenerateMatrix("the all-zero matrix cannot be projected")
     if m.row_sum(1) == 0:
-        stripped = _freeze([list(row[1:]) for row in m.rows[1:]])
-        return SignedRowFishburn(stripped, 1)
-    return SignedRowFishburn(m, 0)
+        # rows 2.. are nonzero and hold 0 in column 1, so stripping that
+        # row and column leaves every row nonzero
+        stripped = TriMatrix._trusted(tuple(row[1:] for row in m.rows[1:]))
+        return SignedRowFishburn._trusted(stripped, 1)
+    return SignedRowFishburn._trusted(m, 0)
 
 
 def selfdual_to_signed_rm(m, want_trace=False):

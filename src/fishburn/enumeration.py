@@ -3,8 +3,13 @@
 Members of each family are generated directly from their defining
 constraints rather than filtered out of the full composition space: values
 are assigned to the free cells in row-major order with two prunes, a dead
-check when a row or column that still needs mass runs out of cells, and a
-lower bound on the mass still required.  The emission order is part of the
+check when a line that still needs mass runs out of cells, and a lower bound
+on the mass still required.  A line is a row, a column, or for ``sm`` and
+``self_dual`` a pair line, row i together with column d + 1 - i of the
+dimension-d half, which must get mass so that the half mirrors into a
+matrix with both lines nonzero; it ends at the diagonal cell (i, d + 1 - i).
+So every generator builds members only, and every matrix it builds skips
+the public constructor's check.  The emission order is part of the
 contract: ascending dimension, then ascending lexicographic order on the
 row-major entry sequence.  The unpruned composition scan lives in the test
 suite as an independent oracle.
@@ -48,7 +53,6 @@ from .matrices import (
     _expand,
     _first_row_sum,
     _last_col_sum,
-    _pairing_violation,
     b_violation,
     fishburn_violation,
     reduced_size,
@@ -109,44 +113,69 @@ def _non_se_cells(d):
                  if i + j <= d + 1)
 
 
-def _fill_assignments(cells, total, need_rows, need_cols):
+def _fill_assignments(cells, total, need_rows, need_cols, need_pairs=()):
     """Yield row-major-ascending value tuples over ``cells`` summing to
-    ``total``, touching every row in need_rows and column in need_cols.
+    ``total`` that put mass on every line that needs it: each row in
+    need_rows, each column in need_cols, and for each (r, c) in need_pairs
+    the pair line made of row r and column c together.
 
     The walk goes depth first over the cells, each taking 0 first and then
-    1, 2, ... up to the mass left.  Pending lines are kept as two counts,
-    rows and columns, plus one "still open" flag per line: a positive value
-    closes its cell's row and column, and backing out of the cell reopens
-    them.  A cell where a still-open line ends starts at 1 instead of 0, and
-    a branch is pruned when the mass left is below the larger pending count
-    (one cell can serve one row and one column at once).  The last cell
-    takes all the mass left, the one value that can complete the tuple.
+    1, 2, ... up to the mass left.  A cell lies on one line through its row
+    (the row, or the pair line holding it) and one through its column; a
+    pair whose row or column needs mass by itself is met with it and is not
+    kept, and each row and column lies in at most one pair.  Pending lines
+    are kept as counts plus one "still open" flag per line: a positive value
+    closes its cell's two lines, and backing out of the cell reopens them.
+    A cell where a still-open line ends starts at 1 instead of 0.  A branch
+    is pruned when the mass left cannot close the pending lines: one unit
+    closes at most one line through its row and one through its column, so
+    the mass left must reach the pending rows, the pending columns, and half
+    of all pending lines.  The last cell takes all the mass left, the one
+    value that can complete the tuple.
     """
-    last_row = {}
-    last_col = {}
+    # line 0 stands for the rows and columns that need no mass; it is never open
+    row_line = {}
+    col_line = {}
+    kinds = [None]
+    for r in set(need_rows):
+        row_line[r] = len(kinds)
+        kinds.append("row")
+    for c in set(need_cols):
+        col_line[c] = len(kinds)
+        kinds.append("col")
+    for r, c in need_pairs:
+        if r not in row_line and c not in col_line:
+            row_line[r] = col_line[c] = len(kinds)
+            kinds.append("pair")
+    ends = [None] * len(kinds)
     for t, (i, j) in enumerate(cells):
-        last_row[i] = t
-        last_col[j] = t
-    if any(r not in last_row for r in need_rows):
+        ends[row_line.get(i, 0)] = ends[col_line.get(j, 0)] = t
+    if None in ends[1:]:
         return
-    if any(c not in last_col for c in need_cols):
-        return
-    row_open = {i: i in need_rows for i in last_row}
-    col_open = {j: j in need_cols for j in last_col}
-    # per cell: its row and column, and whether it is the last cell of each
-    plan = [(i, j, last_row[i] == t, last_col[j] == t)
-            for t, (i, j) in enumerate(cells)]
+    # per cell: its two lines, whether it is the last cell of each, and
+    # whether they are a row and a column (not a pair); the diagonal cell of
+    # a pair line has it on both sides and counts it once
+    plan = []
+    for t, (i, j) in enumerate(cells):
+        a = row_line.get(i, 0)
+        b = col_line.get(j, 0)
+        if b == a:
+            b = 0
+        plan.append((a, b, ends[a] == t, ends[b] == t, kinds[a] == "row", kinds[b] == "col"))
+    is_open = [False] + [True] * (len(kinds) - 1)
     last = len(cells) - 1
     values = [0] * len(cells)
     # one frame per cell entered: the mass left and the pending counts
-    # before it, and whether its row and column were open
+    # before it, and whether its two lines were open
     frames = []
     t = 0
     remaining = total
-    rows_pending = len(set(need_rows))
-    cols_pending = len(set(need_cols))
+    rows_pending = kinds.count("row")
+    cols_pending = kinds.count("col")
+    lines_pending = len(kinds) - 1
     while True:
-        if remaining >= rows_pending and remaining >= cols_pending:
+        if (remaining >= rows_pending and remaining >= cols_pending
+                and 2 * remaining >= lines_pending):
             if t == last:
                 # every other line has met its last cell, so all the
                 # remaining mass goes here
@@ -154,14 +183,16 @@ def _fill_assignments(cells, total, need_rows, need_cols):
                 yield tuple(values)
                 values[t] = 0
             else:
-                i, j, row_ends, col_ends = plan[t]
-                open_i = row_open[i]
-                open_j = col_open[j]
-                frames.append((remaining, rows_pending, cols_pending, open_i, open_j))
-                if open_i and row_ends or open_j and col_ends:
-                    row_open[i] = col_open[j] = False
-                    rows_pending -= open_i
-                    cols_pending -= open_j
+                a, b, a_ends, b_ends, a_row, b_col = plan[t]
+                open_a = is_open[a]
+                open_b = is_open[b]
+                frames.append((remaining, rows_pending, cols_pending, lines_pending,
+                               open_a, open_b))
+                if open_a and a_ends or open_b and b_ends:
+                    is_open[a] = is_open[b] = False
+                    rows_pending -= open_a and a_row
+                    cols_pending -= open_b and b_col
+                    lines_pending -= open_a + open_b
                     values[t] = 1
                     remaining -= 1
                 t += 1
@@ -171,19 +202,20 @@ def _fill_assignments(cells, total, need_rows, need_cols):
             if not frames:
                 return
             t -= 1
-            before, rows_pending, cols_pending, open_i, open_j = frames[-1]
-            i, j = cells[t]
+            before, rows_pending, cols_pending, lines_pending, open_a, open_b = frames[-1]
+            a, b, _, _, a_row, b_col = plan[t]
             if values[t] < before:
                 break
             values[t] = 0
-            row_open[i] = open_i
-            col_open[j] = open_j
+            is_open[a] = open_a
+            is_open[b] = open_b
             frames.pop()
         values[t] += 1
         remaining = before - values[t]
-        row_open[i] = col_open[j] = False
-        rows_pending -= open_i
-        cols_pending -= open_j
+        is_open[a] = is_open[b] = False
+        rows_pending -= open_a and a_row
+        cols_pending -= open_b and b_col
+        lines_pending -= open_a + open_b
         t += 1
 
 
@@ -199,8 +231,10 @@ def _builder(d, cells):
         runs.append(((0,) * (i - 1), t, t + width, (0,) * (d + 1 - i - width)))
         t += width
 
+    trusted = TriMatrix._trusted
+
     def build(values):
-        return TriMatrix(tuple(left + values[a:b] + right for left, a, b, right in runs))
+        return trusted(tuple(left + values[a:b] + right for left, a, b, right in runs))
 
     return build
 
@@ -225,29 +259,26 @@ def _gen_b(n):
 
 
 def _gen_sm(n):
+    # zero SE cells, columns 1..k nonzero, and row i or column d + 1 - i
+    # nonzero for each i up to k
     for d in range(1, 2 * n + 2, 2):
         k = (d - 1) // 2
         cells = _non_se_cells(d)
-        build = _builder(d, cells)
-        for vals in _fill_assignments(cells, n, (), range(1, k + 1)):
-            m = build(vals)
-            if _pairing_violation(m, range(1, k + 1)) is None:
-                yield m
+        pairs = [(i, d + 1 - i) for i in range(1, k + 1)]
+        yield from map(_builder(d, cells), _fill_assignments(cells, n, (), range(1, k + 1), pairs))
 
 
 def _gen_self_dual(n):
     # generate the zero-SE halves of the given NW-plus-diagonal sum that
     # mirror into members, then expand; expansion fills only SE cells whose
-    # mirrors sit in earlier rows, so it preserves row-major order.  The walk
-    # keeps SE zero and the leading columns nonzero, so only pairing is checked
+    # mirrors sit in earlier rows, so it preserves row-major order
     for d in range(1, 2 * n + 1):
         h = (d + 1) // 2
         cells = _non_se_cells(d)
+        pairs = [(i, d + 1 - i) for i in range(1, h + 1)]
         build = _builder(d, cells)
-        for vals in _fill_assignments(cells, n, (), range(1, h + 1)):
-            r = build(vals)
-            if _pairing_violation(r, range(1, h + 1)) is None:
-                yield _expand(r)
+        for vals in _fill_assignments(cells, n, (), range(1, h + 1), pairs):
+            yield _expand(build(vals))
 
 
 _GENERATORS = {
@@ -455,9 +486,11 @@ def verify_identities(identities, n):
             raise ValueError(f"unknown identity {identity!r}, expected one of {IDENTITIES}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    # shared by the pass, each built on first use and dropped with the pass
+    # shared by the pass, each built on first use and dropped with the pass;
+    # the signed pairs are built from generated rm members, so they skip the
+    # row check of the public constructor
     with_stats = cache(lambda family: [(m, stats(m)) for m in enumerate_family(family, n)])
-    pieces = (with_stats, cache(selfdual_to_signed_rm), cache(SignedRowFishburn))
+    pieces = (with_stats, cache(selfdual_to_signed_rm), cache(SignedRowFishburn._trusted))
     return [_verify(identity, n, *_spec(identity, n, *pieces)) for identity in identities]
 
 

@@ -90,9 +90,23 @@ class TriMatrix:
     Equality is entrywise at equal dimension; a copy padded with zero rows
     and columns is a different value on purpose, because the maps in this
     package insert and remove zero rows deliberately.
+
+    The public constructor (and ``from_rows`` and ``parse_matrix``, which go
+    through it) validates every cell.  Matrices the package builds itself
+    from already valid matrices, the generators' members and the images of
+    ``dual``, ``reduce``, ``expand`` and the maps, are built by ``_trusted``,
+    which skips that check.
     """
 
     rows: tuple
+
+    @classmethod
+    def _trusted(cls, rows):
+        """A matrix over ``rows`` without validation, for rows the caller
+        built to satisfy every condition ``__post_init__`` checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     def __post_init__(self):
         if not isinstance(self.rows, tuple) or not self.rows:
@@ -281,10 +295,9 @@ def dual(m):
     The image cell (i, j) holds the input cell (m + 1 - j, m + 1 - i); the
     map is an involution and preserves dimension and size.
     """
-    d = m.dim
-    return TriMatrix(tuple(
-        tuple(m.rows[d - 1 - j][d - 1 - i] for j in range(d))
-        for i in range(d)))
+    # image row i is input column m + 1 - i read from the bottom up
+    columns = tuple(zip(*m.rows))
+    return TriMatrix._trusted(tuple(column[::-1] for column in reversed(columns)))
 
 
 def reduced_size(m):
@@ -303,10 +316,10 @@ def reduce(m):
 
 
 def _reduce(m):
+    # row i keeps its cells up to column m + 1 - i
     d = m.dim
-    return TriMatrix(tuple(
-        tuple(0 if i + j > d + 1 else v for j, v in enumerate(row, start=1))
-        for i, row in enumerate(m.rows, start=1)))
+    return TriMatrix._trusted(tuple(
+        row[:d - r] + (0,) * r for r, row in enumerate(m.rows)))
 
 
 def expand(m):
@@ -319,13 +332,14 @@ def expand(m):
 
 
 def _expand(m):
-    d = m.dim
-    g = [list(row) for row in m.rows]
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            if i + j > d + 1:
-                g[i - 1][j - 1] = m.entry(d + 1 - j, d + 1 - i)
-    return TriMatrix(tuple(tuple(row) for row in g))
+    # row i keeps its first m + 1 - i cells, and the rest mirror column
+    # m + 1 - i read upward from row i - 1 (a cell below the main diagonal
+    # mirrors one below it, so both hold 0)
+    rows = m.rows
+    d = len(rows)
+    columns = tuple(zip(*rows))
+    return TriMatrix._trusted(tuple(
+        row[:d - r] + columns[d - 1 - r][:r][::-1] for r, row in enumerate(rows)))
 
 
 # --- statistics ------------------------------------------------------------

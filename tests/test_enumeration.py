@@ -12,12 +12,23 @@ from fishburn import (
     Parity,
     SignedRowFishburn,
     TriMatrix,
+    alpha,
+    alpha_inv,
+    beta,
+    beta_inv,
     count_refined,
+    dual,
+    em_to_sm,
+    embed_rm_in_b,
     enumerate_family,
     family_member,
     family_size,
     family_violation,
+    format_matrix,
+    parse_matrix,
+    project_b_to_signed_rm,
     refinement_key,
+    selfdual_to_signed_rm,
     stats,
     verify_identity,
 )
@@ -184,6 +195,90 @@ def test_enumeration_is_deterministic():
     walk = enumerate_family.__wrapped__
     assert walk(FamilyTag.SELF_DUAL, 3) == walk(FamilyTag.SELF_DUAL, 3)
     assert walk(FamilyTag.SM, 3) == walk(FamilyTag.SM, 3)
+
+
+# --- trusted construction ---------------------------------------------------------
+# Generators and maps build their matrices without the public constructor's
+# per-cell check.  These tests show that the check would accept every one of
+# them, that it runs at the parse boundary and nowhere on those paths, and that
+# the walk builds no candidate it then throws away.
+
+
+def _built_from(family, m):
+    """Every matrix the package builds from member ``m``: the member itself
+    and its dual, the images of each map that takes the family, and the
+    steps of each map's trace."""
+    built = [m, dual(m)]
+    traces = []
+    if family is FamilyTag.SELF_DUAL:
+        traces.append(alpha(m, want_trace=True)[1])
+        built.append(selfdual_to_signed_rm(m).matrix)
+        if m.dim % 2 == 0:
+            built.append(em_to_sm(m))
+    elif family is FamilyTag.SM:
+        traces += [beta(m, want_trace=True)[1], alpha_inv(m, want_trace=True)[1]]
+    elif family is FamilyTag.RM:
+        built += [embed_rm_in_b(m, flag) for flag in (0, 1)]
+    elif family is FamilyTag.B:
+        built.append(project_b_to_signed_rm(m).matrix)
+        traces.append(beta_inv(m, want_trace=True)[1])
+    for trace in traces:
+        built += [step for _, step in trace.steps]
+    return built
+
+
+def test_public_constructor_accepts_every_built_matrix():
+    for family in FamilyTag:
+        for n in range(1, 6):
+            for m in enumerate_family(family, n):
+                for built in _built_from(family, m):
+                    checked = TriMatrix(built.rows)
+                    assert checked == built and hash(checked) == hash(built), built
+
+
+def test_validation_runs_only_at_the_parse_boundary(monkeypatch):
+    validated = []
+    post_init = TriMatrix.__post_init__
+
+    def counting(self):
+        validated.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TriMatrix, "__post_init__", counting)
+    for family in FamilyTag:
+        count_refined(family, 4)
+    # rebuild the families, so the generators run inside the pass too
+    enumerate_family.cache_clear()
+    assert all(report.passed for report in verify_identities(IDENTITIES, 4))
+    assert validated == []
+    for m in enumerate_family(FamilyTag.SELF_DUAL, 3):
+        assert parse_matrix(format_matrix(m)) == m
+        assert validated == [m]
+        validated.clear()
+
+
+@pytest.mark.parametrize("family", [FamilyTag.SM, FamilyTag.SELF_DUAL],
+                         ids=lambda f: f.value)
+def test_pairing_walk_builds_only_members(monkeypatch, family):
+    builds = []
+    builder = enumeration._builder
+
+    def counting_builder(d, cells):
+        build = builder(d, cells)
+
+        def counted(values):
+            builds.append(values)
+            return build(values)
+
+        return counted
+
+    monkeypatch.setattr(enumeration, "_builder", counting_builder)
+    for n in range(1, 7):
+        builds.clear()
+        total = count_refined(family, n).total
+        assert len(builds) == total, n
+    # twice the 2 815 row-Fishburn matrices of size 6
+    assert total == 5630
 
 
 # --- family dispatch helpers ---------------------------------------------------
