@@ -8,15 +8,17 @@ Around them sit the embedding and projection maps that account for the
 factor 2 between the row-nonzero family and the rows-after-the-first
 family, plus the even-dimension embedding used by the parity-refined count.
 
-Each map checks each membership condition of its input once, at entry;
-a matrix one map builds is checked again where it enters another
-(``beta`` on the output of ``alpha``, ``expand`` inside ``alpha_inv``).
-The matrices a map builds are shaped by construction, so they skip the
-per-cell check of the public ``TriMatrix`` constructor.
+Each public map checks its input once, at entry.  Compositions call the
+unchecked bodies ``_beta``, ``_project`` and ``_expand`` on matrices that
+are members by construction; ``alpha_inv`` keeps the checked ``expand``,
+which is what rejects the 1 x 1 zero matrix.  The matrices a map builds
+skip the per-cell check of the public ``TriMatrix`` constructor.
 
-Every map can optionally record a trace: a sequence of labeled snapshots,
-one per algorithm step, with the input first and the output last.  Traces
-are value copies, never views, and are built only when requested.
+``alpha``, ``alpha_inv``, ``beta``, ``beta_inv`` and the chain
+``selfdual_to_signed_rm`` can optionally record a trace: a sequence of
+labeled snapshots, one per algorithm step, with the input first and the
+output last.  Traces are value copies, never views, and are built only
+when requested.
 """
 
 from dataclasses import dataclass
@@ -31,6 +33,7 @@ from .matrices import (
     NotSMMember,
     OddDimension,
     TriMatrix,
+    _expand,
     _reduce,
     b_violation,
     dual,
@@ -156,6 +159,7 @@ def alpha_inv(s, want_trace=False):
         del g[k]
         if want_trace:
             steps.append(("A(2)", _freeze(g)))
+    # checked: the 1 x 1 zero matrix is an sm member that has no preimage
     out = expand(_freeze(g))
     if want_trace:
         steps.append(("M", out))
@@ -184,6 +188,11 @@ def beta(a, want_trace=False):
     require(sm_violation, NotSMMember, a)
     if a.size() == 0:
         raise DegenerateMatrix("the all-zero matrix has no image")
+    return _beta(a, want_trace)
+
+
+def _beta(a, want_trace=False):
+    # ``beta`` for an sm member of positive size
     steps = [("A(0)", a)]
     g = _grid(a)
     step = 0
@@ -303,6 +312,11 @@ def project_b_to_signed_rm(m):
     require(b_violation, NotBMember, m)
     if m.size() == 0:
         raise DegenerateMatrix("the all-zero matrix cannot be projected")
+    return _project(m)
+
+
+def _project(m):
+    # ``project_b_to_signed_rm`` for a b member of positive size
     if m.row_sum(1) == 0:
         # rows 2.. are nonzero and hold 0 in column 1, so stripping that
         # row and column leaves every row nonzero
@@ -314,10 +328,12 @@ def project_b_to_signed_rm(m):
 def selfdual_to_signed_rm(m, want_trace=False):
     """The full chain from a self-dual matrix with nonzero rows and columns
     to a row-nonzero matrix plus one bit: fold to the odd-dimension zero-SE
-    family, relocate columns, project the first row away when it is zero."""
+    family, relocate columns, project the first row away when it is zero.
+    Only ``alpha`` checks: its image is an ``sm`` member of positive size,
+    and the image of that under ``beta`` a ``b`` member."""
     s = alpha(m)
-    b_img = beta(s)
-    signed = project_b_to_signed_rm(b_img)
+    b_img = _beta(s)
+    signed = _project(b_img)
     if want_trace:
         steps = (("A(0)", m), ("alpha", s), ("beta", b_img), ("R", signed.matrix))
         return signed, BijectionTrace(steps)
@@ -347,7 +363,8 @@ def em_to_sm(m):
 
 def sm_to_em(s):
     """Invert ``em_to_sm``: delete the (necessarily zero) center column and
-    row, then mirror the NW half back into SE."""
+    row, then mirror the NW half back into SE.  What is left is zero on
+    SE and expandable, since the input is an ``sm`` member."""
     require(sm_violation, NotSMMember, s)
     d = s.dim
     k = (d - 1) // 2
@@ -360,4 +377,4 @@ def sm_to_em(s):
     for row in g:
         del row[k]
     del g[k]
-    return expand(_freeze(g))
+    return _expand(_freeze(g))

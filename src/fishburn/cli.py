@@ -86,6 +86,7 @@ _BIJECTIONS = {
     "alpha_inv": alpha_inv,
     "beta": beta,
     "beta_inv": beta_inv,
+    "chain": selfdual_to_signed_rm,
 }
 
 
@@ -98,27 +99,15 @@ def cmd_map(bijection, input_path, trace=False):
     appends a "flag:" line either way.
     """
     m = parse_matrix(_read_input(input_path))
-    flag = None
-    if bijection == "chain":
-        if trace:
-            signed, snapshots = selfdual_to_signed_rm(m, want_trace=True)
-        else:
-            signed, snapshots = selfdual_to_signed_rm(m), None
-        image, flag = signed.matrix, signed.flag
-    else:
-        apply = _BIJECTIONS[bijection]
-        if trace:
-            image, snapshots = apply(m, want_trace=True)
-        else:
-            image, snapshots = apply(m), None
-    pieces = []
+    result = _BIJECTIONS[bijection](m, want_trace=trace)
+    image, snapshots = result if trace else (result, None)
     if trace:
-        for label, snapshot in snapshots.steps:
-            pieces.append(f"{label}:\n{format_matrix(snapshot)}\n")
+        pieces = [f"{label}:\n{format_matrix(snapshot)}\n"
+                  for label, snapshot in snapshots.steps]
     else:
-        pieces.append(format_matrix(image))
-    if flag is not None:
-        pieces.append(f"flag: {flag}\n")
+        pieces = [format_matrix(image.matrix if bijection == "chain" else image)]
+    if bijection == "chain":
+        pieces.append(f"flag: {image.flag}\n")
     return RunReport(True, "".join(pieces))
 
 
@@ -189,7 +178,7 @@ def build_parser():
         "map", help="apply a bijection to a matrix read from a file")
     p_map.add_argument(
         "--bijection", required=True,
-        choices=("alpha", "alpha_inv", "beta", "beta_inv", "chain"))
+        choices=tuple(_BIJECTIONS))
     p_map.add_argument(
         "--input", required=True, metavar="FILE",
         help="matrix file in the text format, or - for stdin")

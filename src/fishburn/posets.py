@@ -48,12 +48,24 @@ class Poset:
     """Strict partial order on elements 1..n_elements.
 
     ``relation`` holds the full set of ordered pairs (x, y) with x below y.
-    Irreflexivity and transitivity are validated on construction;
-    antisymmetry follows from the two.
+    The public constructor (and ``parse_poset``, which goes through it)
+    validates irreflexivity and transitivity; antisymmetry follows from
+    the two.  The posets the package builds itself, the images of
+    ``fishburn_to_poset`` and ``dual_poset``, are built by ``_trusted``,
+    which skips that check.
     """
 
     n_elements: int
     relation: frozenset
+
+    @classmethod
+    def _trusted(cls, n_elements, relation):
+        """A poset over ``relation`` without validation, for a relation the
+        caller built to satisfy every condition ``__post_init__`` checks."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n_elements", n_elements)
+        object.__setattr__(p, "relation", relation)
+        return p
 
     def __post_init__(self):
         if self.n_elements < 1:
@@ -168,7 +180,9 @@ def fishburn_to_poset(m):
 
     Cell (i, j) contributes entry-many elements labeled consecutively in
     row-major cell order, and an element finishing at up-level j precedes
-    every element starting at a level above j.
+    every element starting at a level above j.  That relation is an order
+    as built, irreflexive since ia <= ja and transitive since
+    ja < ib <= jb < ic, so the poset skips the constructor's check.
     """
     require(fishburn_violation, NotFishburn, m)
     labels = []
@@ -180,15 +194,16 @@ def fishburn_to_poset(m):
         for a, (_, ja) in enumerate(labels)
         for b, (ib, _) in enumerate(labels)
         if ja < ib)
-    return Poset(n_elements=len(labels), relation=relation)
+    return Poset._trusted(len(labels), relation)
 
 
 # --- duality -------------------------------------------------------------------------
 
 
 def dual_poset(p):
-    """Reverse the order; an involution."""
-    return Poset(p.n_elements, frozenset((y, x) for x, y in p.relation))
+    """Reverse the order; an involution, and the reversal of a valid order
+    is one."""
+    return Poset._trusted(p.n_elements, frozenset((y, x) for x, y in p.relation))
 
 
 def _profile(p):

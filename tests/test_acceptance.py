@@ -20,8 +20,8 @@ from fishburn import (
     poset_to_fishburn,
     project_b_to_signed_rm,
     stats,
-    verify_identity,
 )
+from fishburn.enumeration import IDENTITIES, verify_identities
 from fishburn.matrices import selfdual_violation
 from oracles import (
     all_posets,
@@ -110,10 +110,10 @@ def test_criterion_4_doubling_counts_to_size_6():
 
 def test_criterion_5_refined_identities_to_size_6():
     with verdict(5, "refined identities, sizes 1..6"):
-        for identity in ("eq1", "eq2", "eq3", "eq4", "eq8"):
-            for n in range(1, 7):
-                report = verify_identity(identity, n)
-                assert report.passed, (identity, n, report.detail)
+        # the entry point of `fishburn verify`: one pass per size
+        for n in range(1, 7):
+            for report in verify_identities(IDENTITIES, n):
+                assert report.passed, (report.identity, n, report.detail)
 
 
 def test_criterion_6_statistic_transport_to_size_6():

@@ -30,6 +30,7 @@ from fishburn import (
     sm_to_em,
     stats,
 )
+from fishburn import bijections
 from fishburn.matrices import super_triangular_violation
 from matrix_strategies import (
     b_members,
@@ -294,6 +295,24 @@ def test_chain_exhaustive_small():
             assert pair not in images
             images.add(pair)
         assert images == {(a, f) for a in rm_set for f in (0, 1)}
+
+
+def test_chain_checks_its_input_once(monkeypatch):
+    # alpha's check at the chain's entry settles membership; beta and the
+    # projection inside the chain run unchecked
+    members = [m for n in range(1, 5) for m in enumerate_family(FamilyTag.SELF_DUAL, n)]
+    calls = dict.fromkeys(("selfdual", "fishburn", "sm", "b"), 0)
+    for name in calls:
+        violation = getattr(bijections, f"{name}_violation")
+
+        def counting(m, name=name, violation=violation):
+            calls[name] += 1
+            return violation(m)
+
+        monkeypatch.setattr(bijections, f"{name}_violation", counting)
+    for m in members:
+        selfdual_to_signed_rm(m)
+    assert calls == {"selfdual": len(members), "fishburn": len(members), "sm": 0, "b": 0}
 
 
 # --- parity embedding ----------------------------------------------------------------

@@ -571,6 +571,22 @@ def test_constant_parity_embedding_fails_eq8(monkeypatch):
     assert report.counterexample == even[0]
 
 
+def test_swapping_relocation_fails_eq8_transport(monkeypatch):
+    # still a bijection onto rm, but two zero-center images trade first-row
+    # classes
+    zero_center = [s for s in enumerate_family(FamilyTag.SM, 3)
+                   if stats(s).center_col_sum == 0]
+    first = zero_center[0]
+    other = next(s for s in zero_center if s.row_sum(1) != first.row_sum(1))
+    swap = {first: other, other: first}
+    relocate = enumeration.beta
+    monkeypatch.setattr(enumeration, "beta", lambda s: relocate(swap.get(s, s)))
+    report = verify_identity("eq8", 3)
+    assert report.passed is False
+    assert "column relocation" in report.detail
+    assert report.counterexample == first
+
+
 def test_flipped_chain_in_one_pass_matches_single_checks(monkeypatch):
     monkeypatch.setattr(enumeration, "selfdual_to_signed_rm", _flipped_chain)
     reports = verify_identities(("eq1", "eq2", "eq3"), 3)

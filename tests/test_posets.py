@@ -124,6 +124,26 @@ def test_encode_decode_roundtrip_exhaustive():
             assert poset_to_fishburn(p) == m
 
 
+def test_decoder_and_dual_build_trusted_posets(monkeypatch):
+    # the decoder's relation is a valid order as built, so the constructor's
+    # quadratic transitivity check is skipped, yet the result is the same
+    members = [m for n in range(1, 6) for m in enumerate_family(FamilyTag.FISHBURN, n)]
+    checks = []
+    post_init = Poset.__post_init__
+
+    def counting(p):
+        checks.append(p)
+        post_init(p)
+
+    monkeypatch.setattr(Poset, "__post_init__", counting)
+    images = [fishburn_to_poset(m) for m in members]
+    duals = [dual_poset(p) for p in images]
+    assert checks == []
+    for p in images + duals:
+        assert p == Poset(p.n_elements, p.relation)
+    assert len(checks) == 2 * len(members)
+
+
 @given(fishburn_matrices())
 def test_encode_decode_roundtrip_generated(m):
     assert poset_to_fishburn(fishburn_to_poset(m)) == m
