@@ -2,8 +2,10 @@
 
 The two core maps are ``alpha``, which folds a self-dual matrix with all
 rows and columns nonzero into an odd-dimension matrix with zero SE cells,
-and ``beta``, which relocates the columns right of center one at a time
-until only the top-left block carries mass, then truncates and dualizes.
+and ``beta``, which places each nonzero column right of center just after
+its mirror column on the left, then keeps the top-left block (the input's
+top-left (r + 1) x (r + 1) block, dimension 2r + 1, with those columns
+inserted) and dualizes it.
 Around them sit the embedding and projection maps that account for the
 factor 2 between the row-nonzero family and the rows-after-the-first
 family, plus the even-dimension embedding used by the parity-refined count.
@@ -55,6 +57,12 @@ class BijectionTrace:
     steps: tuple
 
 
+def _require_bit(value, name):
+    # the ints 0 and 1 only, as ``TriMatrix`` takes no bool or float cell
+    if isinstance(value, bool) or not isinstance(value, int) or value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1")
+
+
 @dataclass(frozen=True)
 class SignedRowFishburn:
     """A matrix with every row nonzero plus one bit.
@@ -67,8 +75,7 @@ class SignedRowFishburn:
     flag: int
 
     def __post_init__(self):
-        if self.flag not in (0, 1):
-            raise ValueError("flag must be 0 or 1")
+        _require_bit(self.flag, "flag")
         require(row_fishburn_violation, NotRowFishburn, self.matrix)
 
     @classmethod
@@ -89,13 +96,10 @@ def _freeze(g):
     return TriMatrix._trusted(tuple(map(tuple, g)))
 
 
-def _insert_row(g, pos):
-    g.insert(pos - 1, [0] * len(g[0]))
-
-
-def _insert_col(g, pos, values=None):
-    for r, row in enumerate(g):
-        row.insert(pos - 1, 0 if values is None else values[r])
+def _insert_zero_line(m, k):
+    # m with a zero row and a zero column at 0-based index k
+    rows = tuple(row[:k] + (0,) + row[k:] for row in m.rows)
+    return TriMatrix._trusted(rows[:k] + ((0,) * (m.dim + 1),) + rows[k:])
 
 
 # --- center fold and its inverse --------------------------------------------
@@ -117,18 +121,13 @@ def alpha(m, want_trace=False):
     require(fishburn_violation, NotFishburn, m)
     r = _reduce(m)
     steps = [("A(0)", m), ("A(1)", r)]
-    g = _grid(r)
     d = m.dim
+    k = d // 2
     if d % 2 == 0:
-        k = d // 2
-        _insert_col(g, k + 1)
-        _insert_row(g, k + 1)
-        if want_trace:
-            steps.append(("A(2)", _freeze(g)))
-        mp = d + 1
-    else:
-        k = (d - 1) // 2
-        mp = d
+        r = _insert_zero_line(r, k)
+        steps.append(("A(2)", r))
+    mp = r.dim
+    g = _grid(r)
     for i in range(1, k + 1):
         row = g[i - 1]
         row[k], row[mp - i] = row[mp - i], row[k]
@@ -174,16 +173,17 @@ def beta(a, want_trace=False):
     """Relocate the nonzero columns right of center, then truncate and
     dualize, landing in the family whose rows past the first are nonzero.
 
-    One step, at dimension 2r + 1: take the largest offset i with column
-    r + 1 + i nonzero, record that column, zero it, reinsert the recorded
-    values as a new column right after column r + 1 - i, add a zero row at
-    the same position, and add a zero column and zero row right before the
-    shifted old column and row (dimension grows by 2).  The largest nonzero
-    offset strictly decreases, so the loop stops; at dimension 2q + 1 the
-    last q rows and columns are zero and are cut, and the result is the
-    dual of the remaining block.  The last-column sum of the output equals
-    the first-row sum of the input, and the first-row sum of the output
-    equals the center-column sum of the input.
+    At dimension 2r + 1, each nonzero column r + 1 + i moves, largest
+    offset first, to just after its mirror column r + 1 - i, with a zero row
+    at the same index; a zero column and row go in just before the emptied
+    column (dimension grows by 2 per column).  A move leaves every other
+    column right of center as it was, so the moved columns are exactly the
+    input's nonzero ones.  With s of them moved, the kept block is the
+    top-left (r + 1 + s) x (r + 1 + s): the input's top-left
+    (r + 1) x (r + 1) block with the moved columns inserted, all rows below
+    it being zero.  The result is the dual of that block.  The last-column
+    sum of the output equals the first-row sum of the input, and the
+    first-row sum of the output equals the center-column sum of the input.
     """
     require(sm_violation, NotSMMember, a)
     if a.size() == 0:
@@ -191,39 +191,42 @@ def beta(a, want_trace=False):
     return _beta(a, want_trace)
 
 
+def _relocation(d, moved):
+    # the source (row, column) of each line, 0-based, after the columns at
+    # offsets ``moved`` right of center of a dimension-d input are moved;
+    # None marks a zero row or column
+    r = (d - 1) // 2
+    lines = []
+    for p in range(r + 1):
+        lines.append((p, p))
+        if r - p in moved:
+            lines.append((None, 2 * r - p))
+    for p in range(r + 1, d):
+        lines += [(None, None), (p, None)] if p - r in moved else [(p, p)]
+    return lines
+
+
+def _lay_out(a, lines):
+    # a zero appended to each source row is read through index -1
+    cols = [-1 if c is None else c for _, c in lines]
+    zero = (0,) * len(lines)
+    return TriMatrix._trusted(tuple(
+        zero if r is None else tuple(map((a.rows[r] + (0,)).__getitem__, cols))
+        for r, _ in lines))
+
+
 def _beta(a, want_trace=False):
     # ``beta`` for an sm member of positive size
-    steps = [("A(0)", a)]
-    g = _grid(a)
-    step = 0
-    while True:
-        d = len(g)
-        r = (d - 1) // 2
-        off = 0
-        for i in range(1, r + 1):
-            if any(row[r + i] for row in g):
-                off = i
-        if off == 0:
-            break
-        c = r + 1 + off
-        left = r + 1 - off
-        vals = [row[c - 1] for row in g]
-        for row in g:
-            row[c - 1] = 0
-        _insert_col(g, left + 1, vals)
-        _insert_row(g, left + 1)
-        _insert_col(g, c + 1)
-        _insert_row(g, c + 1)
-        step += 1
-        if want_trace:
-            steps.append((f"A({step})", _freeze(g)))
-    d = len(g)
-    q = (d - 1) // 2
-    keep = d - q
-    block = _freeze([row[:keep] for row in g[:keep]])
+    r = (a.dim - 1) // 2
+    columns = tuple(zip(*a.rows))
+    moved = [i for i in range(r, 0, -1) if any(columns[r + i])]
+    block = _lay_out(a, _relocation(a.dim, moved)[:r + 1 + len(moved)])
     out = dual(block)
     if want_trace:
-        if q:
+        steps = [("A(0)", a)]
+        for t in range(1, len(moved) + 1):
+            steps.append((f"A({t})", _lay_out(a, _relocation(a.dim, moved[:t]))))
+        if block.dim > 1:
             steps.append(("B", block))
         steps.append(("A'", out))
         return out, BijectionTrace(tuple(steps))
@@ -254,24 +257,20 @@ def beta_inv(a_prime, want_trace=False):
     if want_trace:
         steps.append(("A(1)", _freeze(g)))
     label = 1
-    while True:
-        d = len(g)
-        kk = (d - 1) // 2
-        found = 0
-        for i in range(1, kk + 1):
-            if not any(g[kk - i]) and not any(row[kk + i] for row in g):
-                found = i
-                break
-        if found == 0:
-            break
-        i = found
+    # a merge at offset i keeps a nonzero row or column at every smaller
+    # offset, so the scan resumes at i
+    i = 1
+    while i <= k:
+        if any(g[k - i]) or any(row[k + i] for row in g):
+            i += 1
+            continue
         # row 1 keeps a nonzero entry throughout, so the outermost pair
-        # (i = kk) is never selected and the merge target stays in range
-        if i >= kk:
+        # (i = k) is never selected and the merge target stays in range
+        if i >= k:
             raise RuntimeError(f"merge selected the outermost pair at offset {i}")
-        lo = kk + 1 - i
-        hi = kk + 1 + i
-        dest = kk + 2 + i
+        lo = k + 1 - i
+        hi = k + 1 + i
+        dest = k + 2 + i
         for row in g:
             row[dest - 1] += row[lo - 1]
         for row in g:
@@ -279,6 +278,7 @@ def beta_inv(a_prime, want_trace=False):
             del row[lo - 1]
         del g[hi - 1]
         del g[lo - 1]
+        k -= 1
         label += 1
         if want_trace:
             steps.append((f"A({label})", _freeze(g)))
@@ -295,15 +295,11 @@ def embed_rm_in_b(a, add_zero_first):
     """Send a matrix with nonzero rows into the rows-after-the-first family,
     either unchanged (flag 0) or with a zero first row and column prepended
     (flag 1).  The pair map is injective, which gives the factor 2."""
-    if add_zero_first not in (0, 1):
-        raise ValueError("add_zero_first must be 0 or 1")
+    _require_bit(add_zero_first, "add_zero_first")
     require(row_fishburn_violation, NotRowFishburn, a)
     if not add_zero_first:
         return a
-    g = _grid(a)
-    _insert_col(g, 1)
-    _insert_row(g, 1)
-    return _freeze(g)
+    return _insert_zero_line(a, 0)
 
 
 def project_b_to_signed_rm(m):
@@ -353,12 +349,7 @@ def em_to_sm(m):
     if m.dim % 2:
         raise OddDimension(f"dimension {m.dim} is odd, expected even")
     require(fishburn_violation, NotFishburn, m)
-    r = _reduce(m)
-    h = m.dim // 2
-    g = _grid(r)
-    _insert_col(g, h + 1)
-    _insert_row(g, h + 1)
-    return _freeze(g)
+    return _insert_zero_line(_reduce(m), m.dim // 2)
 
 
 def sm_to_em(s):
@@ -373,8 +364,5 @@ def sm_to_em(s):
     if any(row[k] for row in s.rows) or any(s.rows[k]):
         raise MatrixConditionError(
             f"column {k + 1} or row {k + 1} nonzero, not in the embedding image")
-    g = _grid(s)
-    for row in g:
-        del row[k]
-    del g[k]
-    return _expand(_freeze(g))
+    rows = s.rows[:k] + s.rows[k + 1:]
+    return _expand(TriMatrix._trusted(tuple(row[:k] + row[k + 1:] for row in rows)))

@@ -1,6 +1,8 @@
 """The fold, relocation, embedding, and parity maps, against hand-checked
 vectors, exhaustive small-size roundtrips, and generated members."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 
@@ -24,6 +26,7 @@ from fishburn import (
     embed_rm_in_b,
     enumerate_family,
     family_member,
+    format_matrix,
     project_b_to_signed_rm,
     reduced_size,
     selfdual_to_signed_rm,
@@ -167,6 +170,30 @@ def test_beta_inv_golden_trace():
     )
 
 
+# SHA-256 over every traced step of beta on each sm member of size 1..5 and of
+# beta_inv on each b member of size 1..5, in enumeration order
+_TRACE_DIGESTS = {
+    "beta": "dca9c55ac74063d2b2ffe18ddbb472bcdfc70c666063cb40522021b01f742651",
+    "beta_inv": "452f331d0bc1ef478f371990d5632043683d89bcd9c125aa99eaa49121bbbf6f",
+}
+
+
+def _trace_digest(fn, family):
+    h = hashlib.sha256()
+    for n in range(1, 6):
+        for m in enumerate_family(family, n):
+            _, trace = fn(m, want_trace=True)
+            for label, snapshot in trace.steps:
+                h.update(f"{label}\n{format_matrix(snapshot)}".encode())
+            h.update(b"--\n")
+    return h.hexdigest()
+
+
+def test_relocation_traces_pinned_up_to_size_5():
+    assert _trace_digest(beta, FamilyTag.SM) == _TRACE_DIGESTS["beta"]
+    assert _trace_digest(beta_inv, FamilyTag.B) == _TRACE_DIGESTS["beta_inv"]
+
+
 def test_beta_rejects_bad_input():
     with pytest.raises(NotSMMember):
         beta(TriMatrix(((1, 0), (0, 1))))
@@ -217,8 +244,10 @@ def test_embed_golden():
 
 
 def test_embed_rejects_bad_input():
-    with pytest.raises(ValueError, match="must be 0 or 1"):
-        embed_rm_in_b(TriMatrix(((1,),)), 2)
+    # a bool or float equal to 0 or 1 is rejected too, as in a cell
+    for flag in (2, True, False, 1.0, 0.0):
+        with pytest.raises(ValueError, match="add_zero_first must be 0 or 1"):
+            embed_rm_in_b(TriMatrix(((1,),)), flag)
     with pytest.raises(NotRowFishburn):
         embed_rm_in_b(TriMatrix(((1, 0), (0, 0))), 0)
 
@@ -267,8 +296,9 @@ def test_project_embed_generated(b):
 
 
 def test_signed_row_fishburn_validates():
-    with pytest.raises(ValueError):
-        SignedRowFishburn(TriMatrix(((1,),)), 2)
+    for flag in (2, True, False, 1.0, 0.0):
+        with pytest.raises(ValueError, match="flag must be 0 or 1"):
+            SignedRowFishburn(TriMatrix(((1,),)), flag)
     with pytest.raises(NotRowFishburn):
         SignedRowFishburn(TriMatrix(((1, 0), (0, 0))), 0)
 

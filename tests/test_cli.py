@@ -66,10 +66,11 @@ def test_verify_all_times_each_size(capsys):
     assert all(re.fullmatch(r"all n=\d+: \d+\.\d{3}s", line) for line in timing_lines)
 
 
-def test_verify_all_golden_bytes(capsys):
-    assert main(["verify", "--identity", "all", "--max-size", "5"]) == 0
+@pytest.mark.parametrize("max_size", [5, 6])
+def test_verify_all_golden_bytes(max_size, capsys):
+    assert main(["verify", "--identity", "all", "--max-size", str(max_size)]) == 0
     out, _ = capsys.readouterr()
-    assert out == (GOLDEN / "verify_all_5.txt").read_text()
+    assert out == (GOLDEN / f"verify_all_{max_size}.txt").read_text()
 
 
 def test_verify_without_asserts():
