@@ -10,6 +10,11 @@ Around them sit the embedding and projection maps that account for the
 factor 2 between the row-nonzero family and the rows-after-the-first
 family, plus the even-dimension embedding used by the parity-refined count.
 
+Every map works on immutable row tuples: ``alpha`` and ``alpha_inv`` share
+one center swap, and ``beta`` and ``beta_inv`` lay lines out by one
+placement rule, ``_relocation``, which ``beta_inv`` reads back from the
+dual in one scan.
+
 Each public map checks its input once, at entry.  Compositions call the
 unchecked bodies ``_beta``, ``_project`` and ``_expand`` on matrices that
 are members by construction; ``alpha_inv`` keeps the checked ``expand``,
@@ -88,18 +93,16 @@ class SignedRowFishburn:
         return s
 
 
-def _grid(m):
-    return [list(row) for row in m.rows]
-
-
-def _freeze(g):
-    return TriMatrix._trusted(tuple(map(tuple, g)))
-
-
 def _insert_zero_line(m, k):
     # m with a zero row and a zero column at 0-based index k
     rows = tuple(row[:k] + (0,) + row[k:] for row in m.rows)
     return TriMatrix._trusted(rows[:k] + ((0,) * (m.dim + 1),) + rows[k:])
+
+
+def _drop_line(m, k):
+    # m without its row and column at 0-based index k
+    rows = m.rows[:k] + m.rows[k + 1:]
+    return TriMatrix._trusted(tuple(row[:k] + row[k + 1:] for row in rows))
 
 
 # --- center fold and its inverse --------------------------------------------
@@ -126,12 +129,7 @@ def alpha(m, want_trace=False):
     if d % 2 == 0:
         r = _insert_zero_line(r, k)
         steps.append(("A(2)", r))
-    mp = r.dim
-    g = _grid(r)
-    for i in range(1, k + 1):
-        row = g[i - 1]
-        row[k], row[mp - i] = row[mp - i], row[k]
-    out = _freeze(g)
+    out = _swap_center(r)
     if want_trace:
         steps.append(("S", out))
         return out, BijectionTrace(tuple(steps))
@@ -143,27 +141,30 @@ def alpha_inv(s, want_trace=False):
     cells, drop the center column and row when both ended up zero (the even
     case leaves them so), and mirror the NW half back into SE."""
     require(sm_violation, NotSMMember, s)
-    d = s.dim
-    k = (d - 1) // 2
-    steps = [("A(0)", s)]
-    g = _grid(s)
-    for i in range(1, k + 1):
-        row = g[i - 1]
-        row[k], row[d - i] = row[d - i], row[k]
-    if want_trace:
-        steps.append(("A(1)", _freeze(g)))
-    if k >= 1 and not any(row[k] for row in g) and not any(g[k]):
-        for row in g:
-            del row[k]
-        del g[k]
-        if want_trace:
-            steps.append(("A(2)", _freeze(g)))
+    k = s.dim // 2
+    g = _swap_center(s)
+    steps = [("A(0)", s), ("A(1)", g)]
+    if k >= 1 and not any(row[k] for row in g.rows) and not any(g.rows[k]):
+        g = _drop_line(g, k)
+        steps.append(("A(2)", g))
     # checked: the 1 x 1 zero matrix is an sm member that has no preimage
-    out = expand(_freeze(g))
+    out = expand(g)
     if want_trace:
         steps.append(("M", out))
         return out, BijectionTrace(tuple(steps))
     return out
+
+
+def _swap_center(m):
+    # at odd dimension 2k + 1, row i's center cell (i, k + 1) and diagonal
+    # cell (i, 2k + 2 - i) trade places for i = 1..k; its own inverse
+    k = m.dim // 2
+    swapped = []
+    for i, row in enumerate(m.rows[:k]):
+        row = list(row)
+        row[k], row[-1 - i] = row[-1 - i], row[k]
+        swapped.append(tuple(row))
+    return TriMatrix._trusted(tuple(swapped) + m.rows[k:])
 
 
 # --- column relocation and its inverse ---------------------------------------
@@ -224,8 +225,7 @@ def _beta(a, want_trace=False):
     out = dual(block)
     if want_trace:
         steps = [("A(0)", a)]
-        for t in range(1, len(moved) + 1):
-            steps.append((f"A({t})", _lay_out(a, _relocation(a.dim, moved[:t]))))
+        steps += ((f"A({t})", x) for t, x in enumerate(_relocation_steps(a, moved), 1))
         if block.dim > 1:
             steps.append(("B", block))
         steps.append(("A'", out))
@@ -233,57 +233,45 @@ def _beta(a, want_trace=False):
     return out
 
 
-def beta_inv(a_prime, want_trace=False):
-    """Invert ``beta``: dualize, pad back to odd dimension, and repeatedly
-    merge the innermost all-zero row/column pair away.
+def _relocation_steps(a, moved):
+    # the steps A(1)..A(s) of ``beta`` on a: the first t of its s moves
+    return [_lay_out(a, _relocation(a.dim, moved[:t])) for t in range(1, len(moved) + 1)]
 
-    With the working dimension written 2k + 1, the scan looks for the least
-    offset i whose row k + 1 - i and column k + 1 + i are both zero, adds
-    column k + 1 - i entrywise into column k + 2 + i, and deletes the two
-    rows and two columns at offsets i on both sides (dimension drops by 2).
-    The loop stops when every offset has a nonzero row or column on one
-    side, which is the membership condition of the target family.
+
+def beta_inv(a_prime, want_trace=False):
+    """Invert ``beta``: dualize, read the relocated columns back, and lay
+    the preimage out by the same placement rule.
+
+    In the dual B the last line is the center.  Scanning the lines left of
+    it outward, with offset i starting at 1, a line with a zero row right
+    after a kept line is a relocated column and goes back to offset +i, right
+    of center; every other line is kept as the next line left of center, and
+    i goes up by 1.  A kept line with a zero row always follows the column
+    it pairs with, as the preimage has row or column nonzero at each offset.
+    The steps are those of ``beta`` on the preimage, in reverse.
     """
     require(b_violation, NotBMember, a_prime)
     if a_prime.size() == 0:
         raise DegenerateMatrix("the all-zero matrix has no preimage")
-    k = a_prime.dim - 1
-    steps = [("A(0)", a_prime)]
-    g = _grid(dual(a_prime))
-    for row in g:
-        row.extend([0] * k)
-    for _ in range(k):
-        g.append([0] * (2 * k + 1))
+    block = dual(a_prime)
+    rows = block.rows
+    # B's first row is the reversed last column of a b member of positive
+    # size, which is nonzero, so the scan keeps the first line
+    kept = [len(rows) - 1]
+    relocated = {}
+    for q in range(len(rows) - 2, -1, -1):
+        if kept[-1] == q + 1 and not any(rows[q]):
+            relocated[len(kept)] = q
+        else:
+            kept.append(q)
+    r = len(kept) - 1
+    lines = [(q, q) for q in reversed(kept)]
+    lines += ((None, relocated.get(i)) for i in range(1, r + 1))
+    out = _lay_out(block, lines)
     if want_trace:
-        steps.append(("A(1)", _freeze(g)))
-    label = 1
-    # a merge at offset i keeps a nonzero row or column at every smaller
-    # offset, so the scan resumes at i
-    i = 1
-    while i <= k:
-        if any(g[k - i]) or any(row[k + i] for row in g):
-            i += 1
-            continue
-        # row 1 keeps a nonzero entry throughout, so the outermost pair
-        # (i = k) is never selected and the merge target stays in range
-        if i >= k:
-            raise RuntimeError(f"merge selected the outermost pair at offset {i}")
-        lo = k + 1 - i
-        hi = k + 1 + i
-        dest = k + 2 + i
-        for row in g:
-            row[dest - 1] += row[lo - 1]
-        for row in g:
-            del row[hi - 1]
-            del row[lo - 1]
-        del g[hi - 1]
-        del g[lo - 1]
-        k -= 1
-        label += 1
-        if want_trace:
-            steps.append((f"A({label})", _freeze(g)))
-    out = _freeze(g)
-    if want_trace:
+        snapshots = _relocation_steps(out, sorted(relocated, reverse=True))[::-1] + [out]
+        steps = [("A(0)", a_prime)]
+        steps += ((f"A({t})", x) for t, x in enumerate(snapshots, 1))
         return out, BijectionTrace(tuple(steps))
     return out
 
@@ -357,12 +345,10 @@ def sm_to_em(s):
     row, then mirror the NW half back into SE.  What is left is zero on
     SE and expandable, since the input is an ``sm`` member."""
     require(sm_violation, NotSMMember, s)
-    d = s.dim
-    k = (d - 1) // 2
+    k = s.dim // 2
     if k == 0:
         raise MatrixConditionError("dimension 1 input has no even-dimension preimage")
     if any(row[k] for row in s.rows) or any(s.rows[k]):
         raise MatrixConditionError(
             f"column {k + 1} or row {k + 1} nonzero, not in the embedding image")
-    rows = s.rows[:k] + s.rows[k + 1:]
-    return _expand(TriMatrix._trusted(tuple(row[:k] + row[k + 1:] for row in rows)))
+    return _expand(_drop_line(s, k))

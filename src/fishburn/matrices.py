@@ -93,9 +93,9 @@ class TriMatrix:
 
     The public constructor (and ``from_rows`` and ``parse_matrix``, which go
     through it) validates every cell.  Matrices the package builds itself
-    from already valid matrices, the generators' members and the images of
-    ``dual``, ``reduce``, ``expand`` and the maps, are built by ``_trusted``,
-    which skips that check.
+    from already valid matrices, the generators' members, the images of
+    ``dual``, ``reduce``, ``expand`` and the maps, and the encoding
+    ``poset_to_fishburn``, are built by ``_trusted``, which skips that check.
     """
 
     rows: tuple

@@ -172,7 +172,9 @@ def poset_to_fishburn(p):
     g = [[0] * m for _ in range(m)]
     for x in range(1, p.n_elements + 1):
         g[ld.level[x] - 1][ld.up_level[x] - 1] += 1
-    return TriMatrix(tuple(tuple(row) for row in g))
+    # an element's level never exceeds its up-level, so every count lies on
+    # or above the main diagonal
+    return TriMatrix._trusted(tuple(map(tuple, g)))
 
 
 def fishburn_to_poset(m):

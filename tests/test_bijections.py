@@ -131,6 +131,11 @@ def test_alpha_roundtrip_generated(m):
     assert alpha_inv(image) == m
 
 
+@given(sm_members())
+def test_alpha_inv_roundtrip_generated(s):
+    assert alpha(alpha_inv(s)) == s
+
+
 # --- relocation map ------------------------------------------------------------
 
 
@@ -194,6 +199,19 @@ def test_relocation_traces_pinned_up_to_size_5():
     assert _trace_digest(beta_inv, FamilyTag.B) == _TRACE_DIGESTS["beta_inv"]
 
 
+# SHA-256 over every traced step of alpha on each self_dual member of size 1..5
+# and of alpha_inv on each sm member of size 1..5, in enumeration order
+_FOLD_TRACE_DIGESTS = {
+    "alpha": "b9372966384450b3dd4cd2390629622bbb29127b84e0fbcd70e3150752f1bc56",
+    "alpha_inv": "aee955f9393fd63acb42bb3523c98559bd4cdd462bcc8531c3cb9a53e355a46c",
+}
+
+
+def test_fold_traces_pinned_up_to_size_5():
+    assert _trace_digest(alpha, FamilyTag.SELF_DUAL) == _FOLD_TRACE_DIGESTS["alpha"]
+    assert _trace_digest(alpha_inv, FamilyTag.SM) == _FOLD_TRACE_DIGESTS["alpha_inv"]
+
+
 def test_beta_rejects_bad_input():
     with pytest.raises(NotSMMember):
         beta(TriMatrix(((1, 0), (0, 1))))
@@ -232,6 +250,17 @@ def test_beta_roundtrip_generated(s):
     if s.size() == 0:
         return
     assert beta_inv(beta(s)) == s
+
+
+@given(b_members(max_dim=9))
+def test_beta_inv_roundtrip_generated(b):
+    # inverse first: runs of zero rows in the dual are read back past the
+    # exhaustive sizes
+    if b.size() == 0:
+        return
+    s = beta_inv(b)
+    assert family_member(FamilyTag.SM, s)
+    assert beta(s) == b
 
 
 # --- embedding pair ---------------------------------------------------------------

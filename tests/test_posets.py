@@ -12,6 +12,7 @@ from fishburn import (
     NotSelfDualMatrix,
     ParseError,
     Poset,
+    TriMatrix,
     canonical_form,
     dual_poset,
     enumerate_family,
@@ -142,6 +143,26 @@ def test_decoder_and_dual_build_trusted_posets(monkeypatch):
     for p in images + duals:
         assert p == Poset(p.n_elements, p.relation)
     assert len(checks) == 2 * len(members)
+
+
+def test_encoder_builds_trusted_matrices(monkeypatch):
+    # the encoding is upper-triangular as built, so the per-cell check of the
+    # public matrix constructor is skipped, yet the result is the same
+    posets = [fishburn_to_poset(m)
+              for n in range(1, 6) for m in enumerate_family(FamilyTag.FISHBURN, n)]
+    checks = []
+    post_init = TriMatrix.__post_init__
+
+    def counting(m):
+        checks.append(m)
+        post_init(m)
+
+    monkeypatch.setattr(TriMatrix, "__post_init__", counting)
+    images = [poset_to_fishburn(p) for p in posets]
+    assert checks == []
+    for m in images:
+        assert TriMatrix(m.rows) == m
+    assert len(checks) == len(images)
 
 
 @given(fishburn_matrices())
