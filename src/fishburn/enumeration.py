@@ -8,15 +8,18 @@ on the mass still required.  A line is a row, a column, or for ``sm`` and
 ``self_dual`` a pair line, row i together with column d + 1 - i of the
 dimension-d half, which must get mass so that the half mirrors into a
 matrix with both lines nonzero; it ends at the diagonal cell (i, d + 1 - i).
-So every generator builds members only, and every matrix it builds skips
-the public constructor's check.  The emission order is part of the
+So the walk yields members only, and every matrix built from it skips the
+public constructor's check.  The emission order is part of the
 contract: ascending dimension, then ascending lexicographic order on the
 row-major entry sequence.  The unpruned composition scan lives in the test
 suite as an independent oracle.
 
-``count_refined`` streams the walk, tallying each member's key as it is
-built and keeping none; ``enumerate_family``, which the identity checker
-uses, is the one path that materialises a family, and it caches the tuple.
+The walk is one plan per dimension: the free cells, and the value tuples
+the members hold there.  ``count_refined`` keys each value tuple as the
+walk yields it, summing the tuple at its key's cell positions, and builds
+no matrix.  ``enumerate_family``, which the identity checker uses, builds
+each tuple into its member; it is the one path that materialises a
+family, and it caches the result.
 
 ``verify_identities`` checks counting identities two ways.  An identity is
 a spec: count tables that must agree, and transport legs.  A leg pairs
@@ -47,12 +50,7 @@ from .bijections import (
 from .matrices import (
     Parity,
     TriMatrix,
-    _center_col_sum,
-    _diag_sum,
-    _dim_parity,
     _expand,
-    _first_row_sum,
-    _last_col_sum,
     b_violation,
     fishburn_violation,
     reduced_size,
@@ -239,64 +237,40 @@ def _builder(d, cells):
     return build
 
 
-def _gen_fishburn(n):
-    for d in range(1, n + 1):
-        cells = _upper_cells(d)
-        lines = range(1, d + 1)
-        yield from map(_builder(d, cells), _fill_assignments(cells, n, lines, lines))
-
-
-def _gen_rm(n):
-    for d in range(1, n + 1):
-        cells = _upper_cells(d)
-        yield from map(_builder(d, cells), _fill_assignments(cells, n, range(1, d + 1), ()))
-
-
-def _gen_b(n):
-    for d in range(1, n + 2):
-        cells = _upper_cells(d)
-        yield from map(_builder(d, cells), _fill_assignments(cells, n, range(2, d + 1), ()))
-
-
-def _gen_sm(n):
-    # zero SE cells, columns 1..k nonzero, and row i or column d + 1 - i
-    # nonzero for each i up to k
-    for d in range(1, 2 * n + 2, 2):
-        k = (d - 1) // 2
-        cells = _non_se_cells(d)
-        pairs = [(i, d + 1 - i) for i in range(1, k + 1)]
-        yield from map(_builder(d, cells), _fill_assignments(cells, n, (), range(1, k + 1), pairs))
-
-
-def _gen_self_dual(n):
-    # generate the zero-SE halves of the given NW-plus-diagonal sum that
-    # mirror into members, then expand; expansion fills only SE cells whose
-    # mirrors sit in earlier rows, so it preserves row-major order
-    for d in range(1, 2 * n + 1):
-        h = (d + 1) // 2
-        cells = _non_se_cells(d)
-        pairs = [(i, d + 1 - i) for i in range(1, h + 1)]
-        build = _builder(d, cells)
-        for vals in _fill_assignments(cells, n, (), range(1, h + 1), pairs):
-            yield _expand(build(vals))
-
-
-_GENERATORS = {
-    FamilyTag.FISHBURN: _gen_fishburn,
-    FamilyTag.SELF_DUAL: _gen_self_dual,
-    FamilyTag.RM: _gen_rm,
-    FamilyTag.SM: _gen_sm,
-    FamilyTag.B: _gen_b,
-}
-
-
-def _walk(family, n):
-    """An iterator over the members ``enumerate_family`` lists, one at a time."""
+def _plan(family, n):
+    """The walk, one (d, free cells in row-major order, the members' value
+    tuples there) per dimension, ascending.  ``sm`` and ``self_dual`` walk
+    the zero-SE half: columns 1..h nonzero, and row i or column d + 1 - i
+    nonzero for each i up to h."""
     if not isinstance(family, FamilyTag):
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _GENERATORS[family](n)
+    if family is FamilyTag.SM or family is FamilyTag.SELF_DUAL:
+        sm = family is FamilyTag.SM
+        for d in range(1, 2 * n + 2, 2) if sm else range(1, 2 * n + 1):
+            h = (d - 1) // 2 if sm else (d + 1) // 2
+            cells = _non_se_cells(d)
+            pairs = [(i, d + 1 - i) for i in range(1, h + 1)]
+            yield d, cells, _fill_assignments(cells, n, (), range(1, h + 1), pairs)
+        return
+    # rows nonzero from the first, or for b from the second, which lets b
+    # reach dimension n + 1; fishburn also needs every column nonzero
+    first = 2 if family is FamilyTag.B else 1
+    for d in range(1, n + first):
+        cells = _upper_cells(d)
+        rows = range(first, d + 1)
+        yield d, cells, _fill_assignments(
+            cells, n, rows, rows if family is FamilyTag.FISHBURN else ())
+
+
+def _walk(family, n):
+    """The members ``enumerate_family`` lists, one at a time.  Expanding a
+    ``self_dual`` half fills only SE cells whose mirrors sit in earlier
+    rows, so it keeps row-major order."""
+    for d, cells, values in _plan(family, n):
+        members = map(_builder(d, cells), values)
+        yield from map(_expand, members) if family is FamilyTag.SELF_DUAL else members
 
 
 @lru_cache(maxsize=None)
@@ -312,19 +286,42 @@ def enumerate_family(family, n):
 _PARITY_ORDER = {Parity.EVEN: 0, Parity.ODD: 1, Parity.ANY: 2}
 
 
-def refinement_key(family, m):
-    """(k, p, parity) cell key for one member.
-
-    FISHBURN and SELF_DUAL refine by (first-row sum, diagonal-cell sum) and
-    keep the dimension parity; RM and B refine by (last-column sum,
-    first-row sum); SM refines by (first-row sum, center-column sum).
-    """
-    rows = m.rows
-    if family in (FamilyTag.FISHBURN, FamilyTag.SELF_DUAL):
-        return (_first_row_sum(rows), _diag_sum(rows), _dim_parity(rows))
+def _key_cells(family, d):
+    """(k cells, p cells, parity) of the family's key at dimension d.
+    FISHBURN and SELF_DUAL: first row, diagonal cells (i, d + 1 - i) on or
+    above the main diagonal, dimension parity; RM and B: last column, first
+    row; SM: first row, center column (none for an even d).  First row,
+    diagonal cells and center column lie in the NW-plus-diagonal half."""
+    first_row = [(1, j) for j in range(1, d + 1)]
+    h = (d + 1) // 2
     if family is FamilyTag.SM:
-        return (_first_row_sum(rows), _center_col_sum(rows), Parity.ANY)
-    return (_last_col_sum(rows), _first_row_sum(rows), Parity.ANY)
+        return first_row, [(i, h) for i in range(1, h + 1)] if d % 2 else [], Parity.ANY
+    if family is FamilyTag.RM or family is FamilyTag.B:
+        return [(i, d) for i in range(1, d + 1)], first_row, Parity.ANY
+    parity = Parity.ODD if d % 2 else Parity.EVEN
+    return first_row, [(i, d + 1 - i) for i in range(1, h + 1)], parity
+
+
+def refinement_key(family, m):
+    """(k, p, parity) cell key for one member; see ``_key_cells``."""
+    rows = m.rows
+    k, p, parity = _key_cells(family, len(rows))
+    return (sum(rows[i - 1][j - 1] for i, j in k),
+            sum(rows[i - 1][j - 1] for i, j in p), parity)
+
+
+def _keyer(family, d, cells):
+    """The map from a member's value tuple over ``cells`` to its key, which
+    sums fixed positions of the tuple."""
+    position = {cell: t for t, cell in enumerate(cells)}
+    k_cells, p_cells, parity = _key_cells(family, d)
+    k = [position[cell] for cell in k_cells]
+    p = [position[cell] for cell in p_cells]
+
+    def key(values):
+        return (sum([values[t] for t in k]), sum([values[t] for t in p]), parity)
+
+    return key
 
 
 @dataclass(frozen=True)
@@ -362,8 +359,11 @@ class CountTable:
 
 
 def count_refined(family, n):
-    """The refined count table, read off the walk one member at a time."""
-    cells = Counter(refinement_key(family, m) for m in _walk(family, n))
+    """The refined count table, keyed from the walk's value tuples one at a
+    time; no matrix is built, and a ``self_dual`` member is keyed by its half."""
+    cells = Counter()
+    for d, free, values in _plan(family, n):
+        cells.update(map(_keyer(family, d, free), values))
     return CountTable(family=family, n=n, cells=dict(cells), total=sum(cells.values()))
 
 

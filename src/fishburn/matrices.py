@@ -343,8 +343,8 @@ def _expand(m):
 
 
 # --- statistics ------------------------------------------------------------
-# One helper per statistic, each over the row tuples of a matrix, so that
-# ``stats`` and ``enumeration.refinement_key`` share one definition.
+# One helper per statistic, each over the row tuples of a matrix; the
+# refinement keys sum the same cells, as ``enumeration._key_cells`` lists.
 
 
 def _nw_diag_sum(rows):

@@ -140,12 +140,22 @@ def _chain_of_sets(sets, ascending):
     return distinct
 
 
+def _down_up_sets(p):
+    """Every element's down-set and up-set, from one pass over the relation."""
+    downs = {x: [] for x in range(1, p.n_elements + 1)}
+    ups = {x: [] for x in downs}
+    for x, y in p.relation:
+        downs[y].append(x)
+        ups[x].append(y)
+    return ({x: frozenset(s) for x, s in downs.items()},
+            {x: frozenset(s) for x, s in ups.items()})
+
+
 def level_decomposition(p):
     """Down-set and up-set chains with per-element indices.  Raises
     NotIntervalOrder when either family of sets fails to form a chain."""
     elements = range(1, p.n_elements + 1)
-    downs = {x: p.down_set(x) for x in elements}
-    ups = {x: p.up_set(x) for x in elements}
+    downs, ups = _down_up_sets(p)
     down_chain = _chain_of_sets(downs.values(), ascending=True)
     up_chain = _chain_of_sets(ups.values(), ascending=False)
     if down_chain is None or up_chain is None:
@@ -209,8 +219,8 @@ def dual_poset(p):
 
 
 def _profile(p):
-    return {x: (len(p.down_set(x)), len(p.up_set(x)))
-            for x in range(1, p.n_elements + 1)}
+    downs, ups = _down_up_sets(p)
+    return {x: (len(downs[x]), len(ups[x])) for x in downs}
 
 
 def is_self_dual_poset(p):

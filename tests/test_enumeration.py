@@ -3,6 +3,7 @@ five counting identities."""
 
 import hashlib
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -275,8 +276,12 @@ def test_pairing_walk_builds_only_members(monkeypatch, family):
     monkeypatch.setattr(enumeration, "_builder", counting_builder)
     for n in range(1, 7):
         builds.clear()
-        total = count_refined(family, n).total
+        total = len(enumerate_family.__wrapped__(family, n))
         assert len(builds) == total, n
+        # the count path keys value tuples and builds nothing
+        builds.clear()
+        assert count_refined(family, n).total == total, n
+        assert builds == [], n
     # twice the 2 815 row-Fishburn matrices of size 6
     assert total == 5630
 
@@ -328,6 +333,16 @@ def test_refinement_keys_agree_with_stats():
         for n in range(1, 6):
             for m in enumerate_family(family, n):
                 assert refinement_key(family, m) == _key_from_stats(family, m), m
+
+
+def test_tuple_keys_match_refinement_key():
+    # the count path sums positions of walked value tuples, while
+    # refinement_key sums the same cells of built matrices
+    for family in FamilyTag:
+        for n in range(1, 7):
+            members = enumerate_family.__wrapped__(family, n)
+            assert count_refined(family, n).cells == \
+                Counter(refinement_key(family, m) for m in members), (family, n)
 
 
 # --- count tables -----------------------------------------------------------------

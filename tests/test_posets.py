@@ -27,6 +27,7 @@ from fishburn import (
     reduced_size_of_interval_order,
 )
 from fishburn.matrices import selfdual_violation
+from fishburn.posets import _down_up_sets
 from matrix_strategies import fishburn_matrices
 from oracles import all_posets, brute_canonical, downsets_form_chain
 from vectors import A5, INTERVAL_ORDER_COUNTS, POSET_MATRIX, POSET_RELATION
@@ -143,6 +144,16 @@ def test_decoder_and_dual_build_trusted_posets(monkeypatch):
     for p in images + duals:
         assert p == Poset(p.n_elements, p.relation)
     assert len(checks) == 2 * len(members)
+
+
+def test_one_pass_sets_match_down_set_and_up_set():
+    for n in range(1, 6):
+        for m in enumerate_family(FamilyTag.FISHBURN, n):
+            p = fishburn_to_poset(m)
+            downs, ups = _down_up_sets(p)
+            elements = range(1, p.n_elements + 1)
+            assert downs == {x: p.down_set(x) for x in elements}, m
+            assert ups == {x: p.up_set(x) for x in elements}, m
 
 
 def test_encoder_builds_trusted_matrices(monkeypatch):
