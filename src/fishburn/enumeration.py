@@ -14,12 +14,14 @@ contract: ascending dimension, then ascending lexicographic order on the
 row-major entry sequence.  The unpruned composition scan lives in the test
 suite as an independent oracle.
 
-The walk is one plan per dimension: the free cells, and the value tuples
-the members hold there.  ``count_refined`` keys each value tuple as the
-walk yields it, summing the tuple at its key's cell positions, and builds
-no matrix.  ``enumerate_family``, which the identity checker uses, builds
-each tuple into its member; it is the one path that materialises a
-family, and it caches the result.
+Both paths read one plan per dimension: the free cells and their lines,
+numbered once in ``_lines``, so the membership conditions are defined in
+one place.  ``enumerate_family``, which the identity checker uses, walks
+the value tuples and builds each into its member; it is the one path that
+materialises a family, and it caches the result.  ``count_refined`` lists
+no member: a dynamic program over the same cells carries, for each mass
+left and set of still-open lines, the number of prefixes per partial key
+sum, so its work and memory grow with those states and not with the family.
 
 ``verify_identities`` checks counting identities two ways.  An identity is
 a spec: count tables that must agree, and transport legs.  A leg pairs
@@ -111,27 +113,21 @@ def _non_se_cells(d):
                  if i + j <= d + 1)
 
 
-def _fill_assignments(cells, total, need_rows, need_cols, need_pairs=()):
-    """Yield row-major-ascending value tuples over ``cells`` summing to
-    ``total`` that put mass on every line that needs it: each row in
-    need_rows, each column in need_cols, and for each (r, c) in need_pairs
-    the pair line made of row r and column c together.
+def _lines(cells, need_rows, need_cols, need_pairs=()):
+    """The lines over ``cells`` that must get mass, numbered from 1: each
+    row in need_rows, each column in need_cols, and for each (r, c) in
+    need_pairs the pair line made of row r and column c together.  A pair
+    whose row or column needs mass by itself is met with it and is not
+    kept, and each row and column lies in at most one pair.
 
-    The walk goes depth first over the cells, each taking 0 first and then
-    1, 2, ... up to the mass left.  A cell lies on one line through its row
-    (the row, or the pair line holding it) and one through its column; a
-    pair whose row or column needs mass by itself is met with it and is not
-    kept, and each row and column lies in at most one pair.  Pending lines
-    are kept as counts plus one "still open" flag per line: a positive value
-    closes its cell's two lines, and backing out of the cell reopens them.
-    A cell where a still-open line ends starts at 1 instead of 0.  A branch
-    is pruned when the mass left cannot close the pending lines: one unit
-    closes at most one line through its row and one through its column, so
-    the mass left must reach the pending rows, the pending columns, and half
-    of all pending lines.  The last cell takes all the mass left, the one
-    value that can complete the tuple.
+    Returns (kinds, plan): kinds[x] is "row", "col" or "pair" for line x,
+    and plan holds per cell its line through its row and its line through
+    its column, whether it is the last cell of each, and whether they are a
+    row and a column (not a pair).  Line 0 stands for the rows and columns
+    that need no mass and is never open; the diagonal cell of a pair line
+    has it on both sides and counts it once, on the row side.  Every line
+    must hold a cell, or nothing could put mass on it.
     """
-    # line 0 stands for the rows and columns that need no mass; it is never open
     row_line = {}
     col_line = {}
     kinds = [None]
@@ -148,11 +144,6 @@ def _fill_assignments(cells, total, need_rows, need_cols, need_pairs=()):
     ends = [None] * len(kinds)
     for t, (i, j) in enumerate(cells):
         ends[row_line.get(i, 0)] = ends[col_line.get(j, 0)] = t
-    if None in ends[1:]:
-        return
-    # per cell: its two lines, whether it is the last cell of each, and
-    # whether they are a row and a column (not a pair); the diagonal cell of
-    # a pair line has it on both sides and counts it once
     plan = []
     for t, (i, j) in enumerate(cells):
         a = row_line.get(i, 0)
@@ -160,9 +151,27 @@ def _fill_assignments(cells, total, need_rows, need_cols, need_pairs=()):
         if b == a:
             b = 0
         plan.append((a, b, ends[a] == t, ends[b] == t, kinds[a] == "row", kinds[b] == "col"))
+    return kinds, plan
+
+
+def _fill_assignments(total, kinds, plan):
+    """Yield row-major-ascending value tuples over the cells of ``plan``
+    summing to ``total`` that put mass on every line of ``_lines``.
+
+    The walk goes depth first over the cells, each taking 0 first and then
+    1, 2, ... up to the mass left.  Pending lines are kept as counts plus
+    one "still open" flag per line: a positive value closes its cell's two
+    lines, and backing out of the cell reopens them.  A cell where a
+    still-open line ends starts at 1 instead of 0.  A branch is pruned when
+    the mass left cannot close the pending lines: one unit closes at most
+    one line through its row and one through its column, so the mass left
+    must reach the pending rows, the pending columns, and half of all
+    pending lines.  The last cell takes all the mass left, the one value
+    that can complete the tuple.
+    """
     is_open = [False] + [True] * (len(kinds) - 1)
-    last = len(cells) - 1
-    values = [0] * len(cells)
+    last = len(plan) - 1
+    values = [0] * len(plan)
     # one frame per cell entered: the mass left and the pending counts
     # before it, and whether its two lines were open
     frames = []
@@ -238,10 +247,12 @@ def _builder(d, cells):
 
 
 def _plan(family, n):
-    """The walk, one (d, free cells in row-major order, the members' value
-    tuples there) per dimension, ascending.  ``sm`` and ``self_dual`` walk
-    the zero-SE half: columns 1..h nonzero, and row i or column d + 1 - i
-    nonzero for each i up to h."""
+    """One (d, free cells in row-major order, their ``_lines``) per
+    dimension, ascending: the members at d are the value tuples of size n
+    over those cells that put mass on every line.  Every line holds a
+    cell: row i holds (i, i) and column j holds (1, j).  ``sm`` and
+    ``self_dual`` take the zero-SE half: columns 1..h nonzero, and row i or
+    column d + 1 - i nonzero for each i up to h."""
     if not isinstance(family, FamilyTag):
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
@@ -252,7 +263,7 @@ def _plan(family, n):
             h = (d - 1) // 2 if sm else (d + 1) // 2
             cells = _non_se_cells(d)
             pairs = [(i, d + 1 - i) for i in range(1, h + 1)]
-            yield d, cells, _fill_assignments(cells, n, (), range(1, h + 1), pairs)
+            yield d, cells, _lines(cells, (), range(1, h + 1), pairs)
         return
     # rows nonzero from the first, or for b from the second, which lets b
     # reach dimension n + 1; fishburn also needs every column nonzero
@@ -260,16 +271,15 @@ def _plan(family, n):
     for d in range(1, n + first):
         cells = _upper_cells(d)
         rows = range(first, d + 1)
-        yield d, cells, _fill_assignments(
-            cells, n, rows, rows if family is FamilyTag.FISHBURN else ())
+        yield d, cells, _lines(cells, rows, rows if family is FamilyTag.FISHBURN else ())
 
 
 def _walk(family, n):
     """The members ``enumerate_family`` lists, one at a time.  Expanding a
     ``self_dual`` half fills only SE cells whose mirrors sit in earlier
     rows, so it keeps row-major order."""
-    for d, cells, values in _plan(family, n):
-        members = map(_builder(d, cells), values)
+    for d, cells, lines in _plan(family, n):
+        members = map(_builder(d, cells), _fill_assignments(n, *lines))
         yield from map(_expand, members) if family is FamilyTag.SELF_DUAL else members
 
 
@@ -310,20 +320,6 @@ def refinement_key(family, m):
             sum(rows[i - 1][j - 1] for i, j in p), parity)
 
 
-def _keyer(family, d, cells):
-    """The map from a member's value tuple over ``cells`` to its key, which
-    sums fixed positions of the tuple."""
-    position = {cell: t for t, cell in enumerate(cells)}
-    k_cells, p_cells, parity = _key_cells(family, d)
-    k = [position[cell] for cell in k_cells]
-    p = [position[cell] for cell in p_cells]
-
-    def key(values):
-        return (sum([values[t] for t in k]), sum([values[t] for t in p]), parity)
-
-    return key
-
-
 @dataclass(frozen=True)
 class CountTable:
     """Refined counts for one family at one size."""
@@ -358,12 +354,56 @@ class CountTable:
         return json.dumps(doc, indent=2) + "\n"
 
 
+def _tally(total, kinds, plan, k_at, p_at):
+    """{(k, p): count} over the value tuples ``_fill_assignments(total,
+    kinds, plan)`` yields, k and p summing a tuple at the positions in k_at
+    and p_at, found without listing the tuples.
+
+    A forward dynamic program over the cells in row-major order.  A state is
+    the mass left and the bitmask of lines still open, and maps each pair of
+    partial (k, p) sums reaching it to its number of prefixes.  A positive
+    value closes both lines of its cell.  A line still open past its last
+    cell never closes, so a cell takes 0 only where no open line ends, and
+    a state is dropped once its open lines outnumber twice the mass left,
+    since one unit closes at most two lines.  The tuples are the prefixes
+    reaching mass 0 with no line open.
+    """
+    # a pair of sums is held as k * (total + 1) + p, each sum being at most total
+    base = total + 1
+    states = {(total, (1 << len(kinds)) - 2): {0: 1}}
+    for t, (a, b, a_ends, b_ends, _, _) in enumerate(plan):
+        # bit 0 is line 0, which is never open
+        through = ((1 << a) | (1 << b)) & ~1
+        ending = ((a_ends << a) | (b_ends << b)) & ~1
+        step = base * (t in k_at) + (t in p_at)
+        following = {}
+        for (left, open_lines), table in states.items():
+            closed = open_lines & ~through
+            moves = [((left - v, closed), v * step)
+                     for v in range(1, left - (closed.bit_count() + 1) // 2 + 1)]
+            if not open_lines & ending:
+                moves.append(((left, open_lines), 0))
+            for state, shift in moves:
+                target = following.setdefault(state, {})
+                for key, count in table.items():
+                    key += shift
+                    target[key] = target.get(key, 0) + count
+        states = following
+    return {divmod(key, base): count for key, count in states.get((0, 0), {}).items()}
+
+
 def count_refined(family, n):
-    """The refined count table, keyed from the walk's value tuples one at a
-    time; no matrix is built, and a ``self_dual`` member is keyed by its half."""
+    """The refined count table: the number of members per
+    ``refinement_key``, tallied dimension by dimension by ``_tally`` over the
+    lines the walk fills, so no member is listed or built.  Every key cell
+    of a ``self_dual`` member lies in its walked half."""
     cells = Counter()
-    for d, free, values in _plan(family, n):
-        cells.update(map(_keyer(family, d, free), values))
+    for d, free, lines in _plan(family, n):
+        position = {cell: t for t, cell in enumerate(free)}
+        k_cells, p_cells, parity = _key_cells(family, d)
+        table = _tally(n, *lines, {position[cell] for cell in k_cells},
+                       {position[cell] for cell in p_cells})
+        cells.update({(k, p, parity): count for (k, p), count in table.items()})
     return CountTable(family=family, n=n, cells=dict(cells), total=sum(cells.values()))
 
 

@@ -1,12 +1,14 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here trades speed for obviousness.  Matrices come from raw
-integer compositions over cell lists and posets from orienting every
-element pair all three ways, so none of the pruning or ordering logic in
-the package is shared with the code that checks it.
+integer compositions over cell lists, posets from orienting every element
+pair all three ways, and family totals from integer power series, so none
+of the pruning or ordering logic in the package is shared with the code
+that checks it.
 """
 
 import itertools
+import operator
 
 from fishburn import (
     FamilyTag,
@@ -20,27 +22,30 @@ from fishburn import (
 
 
 def compositions(total, parts):
-    """Every tuple of ``parts`` nonnegative integers summing to ``total``."""
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``,
+    in ascending lexicographic order, by stars and bars: the parts - 1 bars
+    stand between the stars 1..total at ascending cut points 0..total, which
+    may repeat, and each part is the number of stars between two bars."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(operator.sub, cuts + (total,), (0,) + cuts))
 
 
 # --- matrix scans ---------------------------------------------------------------
 
 
 def upper_matrices(dim, total):
-    """Every upper-triangular dim x dim matrix with entry sum ``total``."""
-    cells = [(i, j) for i in range(dim) for j in range(i, dim)]
-    for values in compositions(total, len(cells)):
-        rows = [[0] * dim for _ in range(dim)]
-        for (i, j), value in zip(cells, values):
-            rows[i][j] = value
-        yield TriMatrix(tuple(tuple(row) for row in rows))
+    """Every upper-triangular dim x dim matrix with entry sum ``total``.
+    Row i is i zeros and then the next dim - i values of the composition,
+    so every candidate is upper-triangular and nonnegative by construction
+    and skips the public constructor's check."""
+    starts = [i * dim - i * (i - 1) // 2 for i in range(dim + 1)]
+    rows = [((0,) * i, slice(starts[i], starts[i + 1])) for i in range(dim)]
+    for values in compositions(total, starts[-1]):
+        yield TriMatrix._trusted(tuple([zeros + values[run] for zeros, run in rows]))
 
 
 def brute_family(family, n, max_dim):
@@ -92,6 +97,57 @@ def brute_self_dual_mirrored(n, max_dim):
             if family_member(FamilyTag.FISHBURN, m):
                 found.add(m)
     return found
+
+
+# --- power series ---------------------------------------------------------------
+
+
+def _series_product(a, b):
+    """The product of two integer power series, given as coefficient lists
+    and truncated to the length of ``a``."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[:len(a) - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _one_minus_x_power(i, terms):
+    """(1 - x)^i to ``terms`` coefficients, for any integer i: the binomial
+    series, whose k-th coefficient is (-1)^k times i(i-1)...(i-k+1)/k!."""
+    out = [1]
+    for k in range(1, terms):
+        out.append(out[-1] * (k - 1 - i) // k)
+    return out
+
+
+def _product_sum(factor, terms):
+    """Coefficients 0..terms-1 of the sum over m >= 0 of the product of
+    factor(1), ..., factor(m).  Every factor lacks a constant term, so the
+    m-th product starts at x^m and m < terms suffices."""
+    total = [0] * terms
+    product = [1] + [0] * (terms - 1)
+    for m in range(terms):
+        total = [t + c for t, c in zip(total, product)]
+        product = _series_product(product, factor(m + 1))
+    return total
+
+
+def fishburn_series(terms):
+    """Zagier's series: the sum over m of the product of 1 - (1 - x)^i,
+    i = 1..m, whose n-th coefficient counts Fishburn matrices of size n."""
+    def factor(i):
+        return [int(k == 0) - c for k, c in enumerate(_one_minus_x_power(i, terms))]
+    return _product_sum(factor, terms)
+
+
+def row_fishburn_series(terms):
+    """The sum over m of the product of (1 - x)^-i - 1, i = 1..m, whose n-th
+    coefficient counts row-Fishburn matrices of size n."""
+    def factor(i):
+        return [c - int(k == 0) for k, c in enumerate(_one_minus_x_power(-i, terms))]
+    return _product_sum(factor, terms)
 
 
 # --- poset scans -----------------------------------------------------------------

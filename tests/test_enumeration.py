@@ -35,6 +35,7 @@ from fishburn import (
 )
 from fishburn import enumeration
 from fishburn.enumeration import verify_identities
+from oracles import fishburn_series, row_fishburn_series
 from vectors import A5, A6, B_1, M_1, RM_2_ORDER, SM_1
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -278,7 +279,7 @@ def test_pairing_walk_builds_only_members(monkeypatch, family):
         builds.clear()
         total = len(enumerate_family.__wrapped__(family, n))
         assert len(builds) == total, n
-        # the count path keys value tuples and builds nothing
+        # the count path tallies over the walk's lines and builds nothing
         builds.clear()
         assert count_refined(family, n).total == total, n
         assert builds == [], n
@@ -336,8 +337,8 @@ def test_refinement_keys_agree_with_stats():
 
 
 def test_tuple_keys_match_refinement_key():
-    # the count path sums positions of walked value tuples, while
-    # refinement_key sums the same cells of built matrices
+    # the count path tallies key sums over the walk's lines without listing
+    # a member, while refinement_key sums the key cells of built matrices
     for family in FamilyTag:
         for n in range(1, 7):
             members = enumerate_family.__wrapped__(family, n)
@@ -354,6 +355,46 @@ def test_count_table_totals():
             table = count_refined(family, n)
             assert table.total == len(enumerate_family(family, n))
             assert sum(table.cells.values()) == table.total
+
+
+def test_count_totals_match_the_series():
+    # closed forms that share nothing with the walk: Zagier's series for
+    # Fishburn matrices and the row-Fishburn series
+    fishburn = fishburn_series(13)
+    rm = row_fishburn_series(13)
+    assert fishburn[1:6] == list(FISHBURN_COUNTS) and rm[1:6] == list(RM_COUNTS)
+    assert fishburn[11:] == [1422074, 10886503]
+    assert rm[11:] == [428481472, 6271362282]
+    for n in range(1, 13):
+        assert count_refined(FamilyTag.FISHBURN, n).total == fishburn[n], n
+        assert count_refined(FamilyTag.RM, n).total == rm[n], n
+
+
+def _grouped(table, key):
+    """The table's counts summed over cells with the same key(k, p, parity),
+    leaving out cells whose key is None."""
+    out = Counter()
+    for cell, count in table.cells.items():
+        group = key(*cell)
+        if group is not None:
+            out[group] += count
+    return out
+
+
+def test_count_tables_hold_the_identities():
+    # the count halves of eq1 to eq4, read from the tables alone, at sizes
+    # past what the transport check lists; eq8 is test_parity_split_is_even
+    for n in range(1, 9):
+        self_dual = count_refined(FamilyTag.SELF_DUAL, n)
+        rm = count_refined(FamilyTag.RM, n)
+        assert self_dual.total == count_refined(FamilyTag.SM, n).total == \
+            count_refined(FamilyTag.B, n).total == 2 * rm.total, n
+        # eq1: zero diagonal-cell sum, either parity, by first-row sum
+        assert _grouped(self_dual, lambda k, p, _: k if p == 0 else None) == \
+            _grouped(rm, lambda k, p, _: k), n
+        # eq2: positive diagonal-cell sum, by both sums
+        assert _grouped(self_dual, lambda k, p, _: (k, p) if p >= 1 else None) == \
+            _grouped(rm, lambda k, p, _: (k, p)), n
 
 
 def test_count_csv_golden_bytes():
@@ -402,7 +443,7 @@ def test_identity_rejects_bad_arguments():
 def test_parity_split_is_even():
     # within the reduced-size family, even and odd dimensions each carry
     # exactly the row-nonzero family's count, refined by first-row sum
-    for n in range(1, 5):
+    for n in range(1, 9):
         table = count_refined(FamilyTag.SELF_DUAL, n)
         even = {}
         odd = {}
