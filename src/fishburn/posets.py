@@ -12,6 +12,16 @@ interval-order enumeration up to isomorphism.
 Self-duality of a poset (isomorphism with its order reversal) is decided
 here by backtracking search, independently of the matrix mirror test, so
 the two notions can be compared rather than assumed to agree.
+
+The relation is stored as a frozenset of pairs, but every kernel first
+turns it, in one pass, into per-element down-set and up-set bitmasks (bit
+x - 1 stands for element x).  The level chains sort distinct masks by
+popcount and test inclusion as ``a & ~b == 0``; the self-duality search
+checks a candidate image with two mask comparisons; and twins, elements
+with equal masks, are interchangeable, so the search and
+``canonical_form`` permute twin classes rather than elements.  The decoder
+``fishburn_to_poset`` needs no masks: its row-major labels put the
+elements above any up-level in one suffix of the labels.
 """
 
 import itertools
@@ -128,46 +138,57 @@ def is_interval_order(p):
     return True
 
 
-def _chain_of_sets(sets, ascending):
-    """Sort distinct sets by size and verify consecutive proper inclusion."""
-    distinct = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-    if not ascending:
-        distinct.reverse()
-    for a, b in zip(distinct, distinct[1:]):
-        small, large = (a, b) if ascending else (b, a)
-        if not (small < large):
-            return None
-    return distinct
-
-
-def _down_up_sets(p):
-    """Every element's down-set and up-set, from one pass over the relation."""
-    downs = {x: [] for x in range(1, p.n_elements + 1)}
-    ups = {x: [] for x in downs}
+def _masks(p):
+    """Every element's down-set and up-set as bitmasks, from one pass over
+    the relation.  Index x - 1 of each list holds element x's set, in which
+    bit y - 1 stands for element y."""
+    n = p.n_elements
+    bit = [0] + [1 << y for y in range(n)]
+    downs = [0] * (n + 1)
+    ups = [0] * (n + 1)
     for x, y in p.relation:
-        downs[y].append(x)
-        ups[x].append(y)
-    return ({x: frozenset(s) for x, s in downs.items()},
-            {x: frozenset(s) for x, s in ups.items()})
+        downs[y] |= bit[x]
+        ups[x] |= bit[y]
+    return downs[1:], ups[1:]
+
+
+def _chain(masks):
+    """The distinct masks in ascending size, or None unless each is a proper
+    subset of the next (distinct sets of one size are not nested)."""
+    chain = sorted(set(masks), key=int.bit_count)
+    for a, b in zip(chain, chain[1:]):
+        if a & ~b:
+            return None
+    return chain
+
+
+def _levels(p):
+    """The magnitude and every element's level and up-level, as two lists
+    indexed by element - 1.  Raises NotIntervalOrder when either family of
+    sets fails to form a chain."""
+    downs, ups = _masks(p)
+    down_chain = _chain(downs)
+    up_chain = _chain(ups)
+    if down_chain is None or up_chain is None:
+        raise NotIntervalOrder("down-sets or up-sets do not form a chain")
+    if len(down_chain) != len(up_chain):
+        raise NotIntervalOrder("down-set and up-set chains have different lengths")
+    magnitude = len(down_chain)
+    level = {s: i for i, s in enumerate(down_chain, start=1)}
+    # up-levels index the up-sets from the largest down
+    up_level = {s: magnitude - i for i, s in enumerate(up_chain)}
+    return magnitude, [level[s] for s in downs], [up_level[s] for s in ups]
 
 
 def level_decomposition(p):
     """Down-set and up-set chains with per-element indices.  Raises
     NotIntervalOrder when either family of sets fails to form a chain."""
+    magnitude, levels, up_levels = _levels(p)
     elements = range(1, p.n_elements + 1)
-    downs, ups = _down_up_sets(p)
-    down_chain = _chain_of_sets(downs.values(), ascending=True)
-    up_chain = _chain_of_sets(ups.values(), ascending=False)
-    if down_chain is None or up_chain is None:
-        raise NotIntervalOrder("down-sets or up-sets do not form a chain")
-    if len(down_chain) != len(up_chain):
-        raise NotIntervalOrder("down-set and up-set chains have different lengths")
-    down_index = {s: i for i, s in enumerate(down_chain, start=1)}
-    up_index = {s: i for i, s in enumerate(up_chain, start=1)}
     return LevelDecomposition(
-        magnitude=len(down_chain),
-        level={x: down_index[downs[x]] for x in elements},
-        up_level={x: up_index[ups[x]] for x in elements},
+        magnitude=magnitude,
+        level=dict(zip(elements, levels)),
+        up_level=dict(zip(elements, up_levels)),
     )
 
 
@@ -177,11 +198,10 @@ def level_decomposition(p):
 def poset_to_fishburn(p):
     """Encode an interval order as the matrix counting elements by
     (level, up-level).  Raises NotIntervalOrder on other posets."""
-    ld = level_decomposition(p)
-    m = ld.magnitude
+    m, levels, up_levels = _levels(p)
     g = [[0] * m for _ in range(m)]
-    for x in range(1, p.n_elements + 1):
-        g[ld.level[x] - 1][ld.up_level[x] - 1] += 1
+    for i, j in zip(levels, up_levels):
+        g[i - 1][j - 1] += 1
     # an element's level never exceeds its up-level, so every count lies on
     # or above the main diagonal
     return TriMatrix._trusted(tuple(map(tuple, g)))
@@ -192,21 +212,27 @@ def fishburn_to_poset(m):
 
     Cell (i, j) contributes entry-many elements labeled consecutively in
     row-major cell order, and an element finishing at up-level j precedes
-    every element starting at a level above j.  That relation is an order
-    as built, irreflexive since ia <= ja and transitive since
-    ja < ib <= jb < ic, so the poset skips the constructor's check.
+    every element starting at a level above j.  Row-major labels make those
+    a suffix, the labels from the first one of row j + 1 on, so each cell
+    pairs its labels with one suffix.  That relation is an order as built,
+    irreflexive since ia <= ja and transitive since ja < ib <= jb < ic, so
+    the poset skips the constructor's check.
     """
     require(fishburn_violation, NotFishburn, m)
-    labels = []
-    for i in range(1, m.dim + 1):
-        for j in range(i, m.dim + 1):
-            labels.extend([(i, j)] * m.entry(i, j))
-    relation = frozenset(
-        (a + 1, b + 1)
-        for a, (_, ja) in enumerate(labels)
-        for b, (ib, _) in enumerate(labels)
-        if ja < ib)
-    return Poset._trusted(len(labels), relation)
+    rows = m.rows
+    # starts[r] is the first label of row r + 1, and starts[-1] - 1 the count
+    starts = tuple(itertools.accumulate(map(sum, rows), initial=1))
+    end = starts[-1]
+    pairs = []
+    label = 1
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            count = row[j]
+            if count:
+                pairs.extend(itertools.product(range(label, label + count),
+                                               range(starts[j + 1], end)))
+                label += count
+    return Poset._trusted(end - 1, frozenset(pairs))
 
 
 # --- duality -------------------------------------------------------------------------
@@ -218,57 +244,91 @@ def dual_poset(p):
     return Poset._trusted(p.n_elements, frozenset((y, x) for x, y in p.relation))
 
 
-def _profile(p):
-    downs, ups = _down_up_sets(p)
-    return {x: (len(downs[x]), len(ups[x])) for x in downs}
+def _twin_classes(downs, ups):
+    """Twins, elements with equal down-set and up-set, grouped by those two
+    masks; each class lists its elements (0-based) in ascending order.
+    Swapping two twins is an automorphism."""
+    classes = {}
+    for x, key in enumerate(zip(downs, ups)):
+        classes.setdefault(key, []).append(x)
+    return classes
 
 
 def is_self_dual_poset(p):
     """Decide isomorphism between the poset and its reversal by backtracking
-    over element assignments, pruning on (down-set size, up-set size)."""
+    over element assignments, pruning on (down-set size, up-set size).
+
+    Element x may go to y when y's profile, reversed, is x's.  Twins are
+    interchangeable, so each step tries one free element per twin class.
+    Every unassigned x keeps two bitmasks, the images of its assigned
+    up-neighbours and of its assigned down-neighbours; x -> y agrees with
+    the assignment so far exactly when the assigned part of y's down-set
+    is the first and that of y's up-set the second, so no reversed
+    relation is built.
+    """
     n = p.n_elements
-    rel = p.relation
-    dual_rel = frozenset((y, x) for x, y in rel)
-    prof = _profile(p)
+    downs, ups = _masks(p)
+    profile = [(d.bit_count(), u.bit_count()) for d, u in zip(downs, ups)]
     # the reversal swaps each element's profile pair
-    dual_prof = {x: (b, a) for x, (a, b) in prof.items()}
-    if sorted(prof.values()) != sorted(dual_prof.values()):
+    if sorted(profile) != sorted((b, a) for a, b in profile):
         return False
-    elements = sorted(range(1, n + 1), key=lambda x: prof[x])
-    candidates = {x: [y for y in range(1, n + 1) if dual_prof[y] == prof[x]]
-                  for x in elements}
+    by_reversed = {}
+    for (down, up), members in _twin_classes(downs, ups).items():
+        by_reversed.setdefault((up.bit_count(), down.bit_count()), []).append(
+            (sum(1 << y for y in members), down, up))
+    order = sorted(range(n), key=profile.__getitem__)
+    # bitmasks of where the assigned elements above and below each one went
+    images_above = [0] * n
+    images_below = [0] * n
 
-    assigned = {}
-    used = set()
+    def toggle(x, y):
+        # x's down-neighbours gain (or lose) the image y above them, and its
+        # up-neighbours the image y below them
+        for images, neighbours in ((images_above, downs[x]), (images_below, ups[x])):
+            while neighbours:
+                z = neighbours & -neighbours
+                images[z.bit_length() - 1] ^= y
+                neighbours ^= z
 
-    def extend(idx):
+    def extend(idx, used):
         if idx == n:
             return True
-        x = elements[idx]
-        for y in candidates[x]:
-            if y in used:
+        x = order[idx]
+        # the reversal turns what lies above x into what lies below its image
+        above, below = images_above[x], images_below[x]
+        for members, down, up in by_reversed[profile[x]]:
+            free = members & ~used
+            if not free or down & used != above or up & used != below:
                 continue
-            ok = True
-            for x2, y2 in assigned.items():
-                if ((x, x2) in rel) != ((y, y2) in dual_rel):
-                    ok = False
-                    break
-                if ((x2, x) in rel) != ((y2, y) in dual_rel):
-                    ok = False
-                    break
-            if ok:
-                assigned[x] = y
-                used.add(y)
-                if extend(idx + 1):
-                    return True
-                del assigned[x]
-                used.discard(y)
+            y = free & -free
+            toggle(x, y)
+            if extend(idx + 1, used | y):
+                return True
+            toggle(x, y)
         return False
 
-    return extend(0)
+    return extend(0, 0)
 
 
 # --- isomorphism classes ----------------------------------------------------------------
+
+
+def _multiset_permutations(items):
+    """Every distinct ordering of the sorted list ``items``, in ascending
+    lexicographic order (the classic next-permutation step)."""
+    a = list(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
 
 
 def canonical_form(p):
@@ -277,25 +337,30 @@ def canonical_form(p):
 
     Any isomorphism preserves the (down-set size, up-set size) profile, so
     it suffices to fix one profile-sorted arrangement and minimize over
-    permutations inside equal-profile blocks.
+    permutations inside equal-profile blocks.  Permuting twins leaves the
+    encoding as it is, so inside each block only the order of its twin
+    classes varies: the distinct orderings of a multiset of class indices.
     """
     n = p.n_elements
     if not p.relation:
         return (n, ())
-    prof = _profile(p)
-    order = sorted(range(1, n + 1), key=lambda x: (prof[x], x))
-    blocks = []
-    for _, group in itertools.groupby(order, key=lambda x: prof[x]):
-        blocks.append(tuple(group))
+    by_profile = {}
+    for (down, up), members in _twin_classes(*_masks(p)).items():
+        by_profile.setdefault((down.bit_count(), up.bit_count()), []).append(members)
+    blocks = [by_profile[key] for key in sorted(by_profile)]
+    # class k of a block appears len(class k) times in its index multiset
+    slots = [[k for k, members in enumerate(block) for _ in members]
+             for block in blocks]
+    relabel = [0] * n
     best = None
-    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        relabel = {}
+    for arrangement in itertools.product(*map(_multiset_permutations, slots)):
         position = 1
-        for block, perm in zip(blocks, perms):
-            for element in perm:
-                relabel[element] = position
+        for block, indices in zip(blocks, arrangement):
+            pending = [iter(members) for members in block]
+            for k in indices:
+                relabel[next(pending[k])] = position
                 position += 1
-        encoded = tuple(sorted((relabel[x], relabel[y]) for x, y in p.relation))
+        encoded = tuple(sorted((relabel[x - 1], relabel[y - 1]) for x, y in p.relation))
         if best is None or encoded < best:
             best = encoded
     return (n, best)

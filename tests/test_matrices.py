@@ -1,6 +1,7 @@
 """Carrier type, family predicates, duality, reduction, and text format."""
 
 import hashlib
+from enum import IntEnum
 
 import pytest
 from hypothesis import given
@@ -78,6 +79,30 @@ def test_entries_must_be_plain_nonnegative_ints():
 def test_below_diagonal_entries_must_be_zero():
     with pytest.raises(ValueError, match=r"cell \(2, 1\) lies below"):
         TriMatrix(((0, 0), (1, 0)))
+
+
+class _Unit(IntEnum):
+    ONE = 1
+
+
+def test_constructor_messages_pinned_on_later_rows():
+    # a bool past the first row is still refused, an int subclass that is
+    # not a bool is still accepted, and a row with several faults reports
+    # the first one met cell by cell
+    with pytest.raises(ValueError) as err:
+        TriMatrix(((1, 0), (0, True)))
+    assert str(err.value) == "cell (2, 2) must be an integer"
+    m = TriMatrix(((1, 0), (0, _Unit.ONE)))
+    assert m == TriMatrix(((1, 0), (0, 1)))
+    with pytest.raises(ValueError) as err:
+        TriMatrix(((1, 0, 0), (0, 1, 0), (2, 0, -1)))
+    assert str(err.value) == "cell (3, 1) lies below the main diagonal and must be 0"
+    with pytest.raises(ValueError) as err:
+        TriMatrix(((1, 0, 0), (0, 1, 0), (0, -1, 2)))
+    assert str(err.value) == "cell (3, 2) must be nonnegative"
+    with pytest.raises(ValueError) as err:
+        TriMatrix(((1, -1), (0,)))
+    assert str(err.value) == "cell (1, 2) must be nonnegative"
 
 
 def test_from_rows_accepts_lists():
@@ -360,6 +385,28 @@ def test_parse_errors():
         parse_matrix("2\n1 0\n-1 1\n")
     with pytest.raises(ParseError, match=r"cell \(2, 1\) lies below"):
         parse_matrix("2\n1 0\n1 1\n")
+
+
+def test_parse_reports_the_first_fault_in_reading_order():
+    def message(text):
+        with pytest.raises(ParseError) as err:
+            parse_matrix(text)
+        return str(err.value)
+
+    # faults in two rows: the earlier row wins, whichever kind each is
+    assert message("3\n1 0 0\n1 1 0\n0 0 y\n") == \
+        "cell (2, 1) lies below the main diagonal and must be 0"
+    assert message("3\n1 0 0\n0 y 0\n1 0 1\n") == \
+        "line 3: entry 2 is not a nonnegative integer"
+    assert message("3\n1 0 0\n0 1 0 0\n0 0 y\n") == \
+        "line 3: expected 3 entries, found 4"
+    # within one row, cells are read left to right
+    assert message("2\n1 0\n1 x\n") == \
+        "cell (2, 1) lies below the main diagonal and must be 0"
+    assert message("3\n1 0 0\n0 1 0\n0 x 1\n") == \
+        "line 4: entry 2 is not a nonnegative integer"
+    # digits outside ASCII are not entries
+    assert message("1\n\u0663\n") == "line 2: entry 1 is not a nonnegative integer"
 
 
 # --- behaviour pin ------------------------------------------------------------------

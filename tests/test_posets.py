@@ -2,6 +2,7 @@
 and isomorphism classes, cross-checked against brute-force oracles."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +28,7 @@ from fishburn import (
     reduced_size_of_interval_order,
 )
 from fishburn.matrices import selfdual_violation
-from fishburn.posets import _down_up_sets
+from fishburn.posets import _masks
 from matrix_strategies import fishburn_matrices
 from oracles import all_posets, brute_canonical, downsets_form_chain
 from vectors import A5, INTERVAL_ORDER_COUNTS, POSET_MATRIX, POSET_RELATION
@@ -126,6 +127,22 @@ def test_encode_decode_roundtrip_exhaustive():
             assert poset_to_fishburn(p) == m
 
 
+def test_decoder_relation_matches_definition():
+    # labels run over the cells in row-major order, cell (i, j) contributing
+    # entry-many elements, and a precedes b exactly when a's up-level j_a is
+    # below b's level i_b
+    for n in range(1, 6):
+        for m in enumerate_family(FamilyTag.FISHBURN, n):
+            labels = [(i, j) for i in range(1, m.dim + 1)
+                      for j in range(i, m.dim + 1) for _ in range(m.entry(i, j))]
+            relation = {(a, b)
+                        for a, (_, ja) in enumerate(labels, start=1)
+                        for b, (ib, _) in enumerate(labels, start=1) if ja < ib}
+            p = fishburn_to_poset(m)
+            assert p.n_elements == n
+            assert p.relation == relation, m
+
+
 def test_decoder_and_dual_build_trusted_posets(monkeypatch):
     # the decoder's relation is a valid order as built, so the constructor's
     # quadratic transitivity check is skipped, yet the result is the same
@@ -150,10 +167,16 @@ def test_one_pass_sets_match_down_set_and_up_set():
     for n in range(1, 6):
         for m in enumerate_family(FamilyTag.FISHBURN, n):
             p = fishburn_to_poset(m)
-            downs, ups = _down_up_sets(p)
+            downs, ups = _masks(p)
             elements = range(1, p.n_elements + 1)
-            assert downs == {x: p.down_set(x) for x in elements}, m
-            assert ups == {x: p.up_set(x) for x in elements}, m
+
+            def members(mask):
+                return frozenset(y for y in elements if mask >> (y - 1) & 1)
+
+            assert {x: members(downs[x - 1]) for x in elements} == \
+                {x: p.down_set(x) for x in elements}, m
+            assert {x: members(ups[x - 1]) for x in elements} == \
+                {x: p.up_set(x) for x in elements}, m
 
 
 def test_encoder_builds_trusted_matrices(monkeypatch):
@@ -211,6 +234,9 @@ def test_self_duality_vectors():
     assert is_self_dual_poset(Poset(1, frozenset()))
     # a 2-chain reverses onto itself by swapping its endpoints
     assert is_self_dual_poset(Poset(2, frozenset({(1, 2)})))
+    # the fence 4 > 2 < 1 > 5 < 3 > 6 is self-dual, but the search reaches
+    # its reversal only after backing out of a first assignment that fails
+    assert is_self_dual_poset(Poset(6, frozenset({(2, 1), (2, 4), (5, 1), (5, 3), (6, 3)})))
 
 
 def test_self_duality_is_isomorphism_invariant():
@@ -219,6 +245,18 @@ def test_self_duality_is_isomorphism_invariant():
         for perm in itertools.permutations(range(1, 4)):
             mapping = dict(zip(range(1, 4), perm))
             assert is_self_dual_poset(relabeled(p, mapping)) == value
+
+
+def test_self_duality_matches_canonical_forms_on_every_small_poset():
+    # every labeled poset up to five elements, interval orders or not; the
+    # search and the canonical form share no code path through the matrix
+    total = 0
+    for n in range(1, 6):
+        for p in all_posets(n):
+            total += 1
+            assert is_self_dual_poset(p) == \
+                (canonical_form(p) == canonical_form(dual_poset(p))), p
+    assert total == 4473
 
 
 def test_poset_self_duality_matches_matrix_self_duality():
@@ -239,6 +277,47 @@ def test_canonical_form_partition_matches_brute_force():
             by_brute.setdefault(brute_canonical(p), set()).add(p)
         assert set(map(frozenset, by_fast.values())) == \
             set(map(frozenset, by_brute.values()))
+
+
+def _elementwise_canonical_form(p):
+    """The canonical form by its definition: the least sorted relation over
+    every arrangement that sorts elements by (down-set size, up-set size)
+    and permutes elements freely inside each equal-profile block."""
+    n = p.n_elements
+    if not p.relation:
+        return (n, ())
+    prof = {x: (len(p.down_set(x)), len(p.up_set(x))) for x in range(1, n + 1)}
+    order = sorted(range(1, n + 1), key=lambda x: (prof[x], x))
+    blocks = [tuple(g) for _, g in itertools.groupby(order, key=prof.get)]
+    best = None
+    for perms in itertools.product(*map(itertools.permutations, blocks)):
+        relabel = {x: i for i, x in enumerate(itertools.chain(*perms), start=1)}
+        encoded = tuple(sorted((relabel[x], relabel[y]) for x, y in p.relation))
+        if best is None or encoded < best:
+            best = encoded
+    return (n, best)
+
+
+def test_canonical_form_matches_elementwise_definition():
+    for n in range(1, 6):
+        for p in all_posets(n):
+            assert canonical_form(p) == _elementwise_canonical_form(p), p
+    for m in enumerate_family(FamilyTag.FISHBURN, 6):
+        p = fishburn_to_poset(m)
+        assert canonical_form(p) == _elementwise_canonical_form(p), m
+
+
+def test_canonical_form_permutes_twin_classes_not_twins():
+    # three cells of five twins each: 5!^3 arrangements element by element,
+    # one arrangement of the twin classes.  Profiles put cell (1, 2)'s
+    # elements, (0, 0), at positions 1-5, cell (1, 1)'s, (0, 5), at 6-10 and
+    # cell (2, 2)'s, (5, 0), at 11-15, and 6-10 precede 11-15.
+    p = fishburn_to_poset(TriMatrix(((5, 5), (0, 5))))
+    start = time.perf_counter()
+    form = canonical_form(p)
+    assert time.perf_counter() - start < 5.0
+    assert form == (15, tuple((x, y) for x in range(6, 11) for y in range(11, 16)))
+    assert canonical_form(fishburn_to_poset(TriMatrix(((6, 6), (0, 6)))))[0] == 18
 
 
 @given(fishburn_matrices(max_dim=3), st.randoms(use_true_random=False))
