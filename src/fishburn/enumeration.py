@@ -1,27 +1,30 @@
 """Exhaustive generators, refined counters, and the identity checker.
 
 Members of each family are generated directly from their defining
-constraints rather than filtered out of the full composition space: values
-are assigned to the free cells in row-major order with two prunes, a dead
-check when a line that still needs mass runs out of cells, and a lower bound
-on the mass still required.  A line is a row, a column, or for ``sm`` and
-``self_dual`` a pair line, row i together with column d + 1 - i of the
-dimension-d half, which must get mass so that the half mirrors into a
-matrix with both lines nonzero; it ends at the diagonal cell (i, d + 1 - i).
-So the walk yields members only, and every matrix built from it skips the
-public constructor's check.  The emission order is part of the
-contract: ascending dimension, then ascending lexicographic order on the
-row-major entry sequence.  The unpruned composition scan lives in the test
-suite as an independent oracle.
+constraints rather than filtered out of the full composition space.  A
+line is a row, a column, or for ``sm`` and ``self_dual`` a pair line, row
+i together with column d + 1 - i of the dimension-d half, which must get
+mass so that the half mirrors into a matrix with both lines nonzero; it
+ends at the diagonal cell (i, d + 1 - i).  Values go to the free cells in
+row-major order, and one rule, ``_moves``, says which value a cell may
+take from a state (mass left, bitmask of lines still open): no 0 where an
+open line ends, and no value that leaves more open lines than twice the
+mass left.  The members are the paths of that rule from (total, every
+line) to (0, 0).  The emission order is part of the contract: ascending
+dimension, then ascending lexicographic order on the row-major entry
+sequence.  The unpruned composition scan lives in the test suite as an
+independent oracle.
 
-Both paths read one plan per dimension: the free cells and their lines,
-numbered once in ``_lines``, so the membership conditions are defined in
-one place.  ``enumerate_family``, which the identity checker uses, walks
-the value tuples and builds each into its member; it is the one path that
+Both paths read one plan per dimension, the free cells and their lines
+numbered once in ``_lines``, and walk it by ``_moves``.
+``enumerate_family``, which the identity checker uses, first keeps the
+states that can still reach (0, 0), so its depth-first walk enters no
+branch without a member and yields members only; every matrix built from
+it skips the public constructor's check.  It is the one path that
 materialises a family, and it caches the result.  ``count_refined`` lists
-no member: a dynamic program over the same cells carries, for each mass
-left and set of still-open lines, the number of prefixes per partial key
-sum, so its work and memory grow with those states and not with the family.
+no member: a forward dynamic program over the same states carries the
+number of prefixes per partial key sum, so its work and memory grow with
+those states and not with the family.
 
 ``verify_identities`` checks counting identities two ways.  An identity is
 a spec: count tables that must agree, and transport legs.  A leg pairs
@@ -114,116 +117,98 @@ def _non_se_cells(d):
 
 
 def _lines(cells, need_rows, need_cols, need_pairs=()):
-    """The lines over ``cells`` that must get mass, numbered from 1: each
-    row in need_rows, each column in need_cols, and for each (r, c) in
+    """The lines over ``cells`` that must get mass, one bit each: each row
+    in need_rows, each column in need_cols, and for each (r, c) in
     need_pairs the pair line made of row r and column c together.  A pair
     whose row or column needs mass by itself is met with it and is not
     kept, and each row and column lies in at most one pair.
 
-    Returns (kinds, plan): kinds[x] is "row", "col" or "pair" for line x,
-    and plan holds per cell its line through its row and its line through
-    its column, whether it is the last cell of each, and whether they are a
-    row and a column (not a pair).  Line 0 stands for the rows and columns
-    that need no mass and is never open; the diagonal cell of a pair line
-    has it on both sides and counts it once, on the row side.  Every line
-    must hold a cell, or nothing could put mass on it.
+    Returns (lines, plan): lines is the bitmask of every line, and plan
+    holds per cell the bitmask of the lines through it and of the lines
+    whose last cell it is.  The diagonal cell of a pair line has it on both
+    sides and holds its bit once.  A line that holds no cell can get no
+    mass, so a plan with one has no member.
     """
-    row_line = {}
-    col_line = {}
-    kinds = [None]
-    for r in set(need_rows):
-        row_line[r] = len(kinds)
-        kinds.append("row")
-    for c in set(need_cols):
-        col_line[c] = len(kinds)
-        kinds.append("col")
+    row_line = {r: 1 << x for x, r in enumerate(set(need_rows))}
+    col_line = {c: 1 << x for x, c in enumerate(set(need_cols), start=len(row_line))}
+    bit = 1 << (len(row_line) + len(col_line))
     for r, c in need_pairs:
         if r not in row_line and c not in col_line:
-            row_line[r] = col_line[c] = len(kinds)
-            kinds.append("pair")
-    ends = [None] * len(kinds)
-    for t, (i, j) in enumerate(cells):
-        ends[row_line.get(i, 0)] = ends[col_line.get(j, 0)] = t
-    plan = []
-    for t, (i, j) in enumerate(cells):
-        a = row_line.get(i, 0)
-        b = col_line.get(j, 0)
-        if b == a:
-            b = 0
-        plan.append((a, b, ends[a] == t, ends[b] == t, kinds[a] == "row", kinds[b] == "col"))
-    return kinds, plan
+            row_line[r] = col_line[c] = bit
+            bit <<= 1
+    through = [row_line.get(i, 0) | col_line.get(j, 0) for i, j in cells]
+    # a line ends at the last cell it goes through
+    later = 0
+    ending = []
+    for mask in reversed(through):
+        ending.append(mask & ~later)
+        later |= mask
+    return bit - 1, list(zip(through, reversed(ending)))
 
 
-def _fill_assignments(total, kinds, plan):
+def _moves(left, open_lines, through, ending):
+    """The values a cell may take from the state (mass left, bitmask of
+    lines still open), each with the state it leads to, by ascending
+    value: the one membership rule, which both the walk and the count read.
+
+    A line still open past its last cell never closes, so a cell takes 0
+    only where no open line ends.  A positive value closes the lines
+    through the cell, and must leave at least half the lines still open
+    coverable, since one unit closes at most two lines.  The tuples of a
+    plan are the paths from (total, lines) to (0, 0).
+    """
+    moves = [] if open_lines & ending else [(0, (left, open_lines))]
+    closed = open_lines & ~through
+    moves += [(v, (left - v, closed))
+              for v in range(1, left - (closed.bit_count() + 1) // 2 + 1)]
+    return moves
+
+
+def _live(total, lines, plan):
+    """Per cell, the states reachable there from (total, lines) that can
+    still reach (0, 0) past the last cell, each mapped to those of its
+    ``_moves`` that lead to such a state: reachability in one forward pass,
+    completion in one backward pass."""
+    steps = []
+    reached = {(total, lines)}
+    for through, ending in plan:
+        step = {state: _moves(*state, through, ending) for state in reached}
+        steps.append(step)
+        reached = {state for moves in step.values() for _, state in moves}
+    alive = {(0, 0)}
+    for step in reversed(steps):
+        for state, moves in list(step.items()):
+            moves = [move for move in moves if move[1] in alive]
+            if moves:
+                step[state] = moves
+            else:
+                del step[state]
+        alive = step
+    return steps
+
+
+def _fill_assignments(total, lines, plan):
     """Yield row-major-ascending value tuples over the cells of ``plan``
     summing to ``total`` that put mass on every line of ``_lines``.
 
-    The walk goes depth first over the cells, each taking 0 first and then
-    1, 2, ... up to the mass left.  Pending lines are kept as counts plus
-    one "still open" flag per line: a positive value closes its cell's two
-    lines, and backing out of the cell reopens them.  A cell where a
-    still-open line ends starts at 1 instead of 0.  A branch is pruned when
-    the mass left cannot close the pending lines: one unit closes at most
-    one line through its row and one through its column, so the mass left
-    must reach the pending rows, the pending columns, and half of all
-    pending lines.  The last cell takes all the mass left, the one value
-    that can complete the tuple.
+    A depth-first walk over ``_live``: each cell takes its live values in
+    ascending order, and as every live state completes, every branch the
+    walk enters yields at least one tuple.
     """
-    is_open = [False] + [True] * (len(kinds) - 1)
-    last = len(plan) - 1
+    steps = _live(total, lines, plan)
     values = [0] * len(plan)
-    # one frame per cell entered: the mass left and the pending counts
-    # before it, and whether its two lines were open
-    frames = []
-    t = 0
-    remaining = total
-    rows_pending = kinds.count("row")
-    cols_pending = kinds.count("col")
-    lines_pending = len(kinds) - 1
-    while True:
-        if (remaining >= rows_pending and remaining >= cols_pending
-                and 2 * remaining >= lines_pending):
-            if t == last:
-                # every other line has met its last cell, so all the
-                # remaining mass goes here
-                values[t] = remaining
+    # per cell entered, the live moves it has still to take
+    untried = [iter(steps[0].get((total, lines), ()))]
+    while untried:
+        t = len(untried) - 1
+        for values[t], state in untried[t]:
+            if t + 1 == len(plan):
                 yield tuple(values)
-                values[t] = 0
             else:
-                a, b, a_ends, b_ends, a_row, b_col = plan[t]
-                open_a = is_open[a]
-                open_b = is_open[b]
-                frames.append((remaining, rows_pending, cols_pending, lines_pending,
-                               open_a, open_b))
-                if open_a and a_ends or open_b and b_ends:
-                    is_open[a] = is_open[b] = False
-                    rows_pending -= open_a and a_row
-                    cols_pending -= open_b and b_col
-                    lines_pending -= open_a + open_b
-                    values[t] = 1
-                    remaining -= 1
-                t += 1
-                continue
-        # back up to the nearest cell that can take one more unit
-        while True:
-            if not frames:
-                return
-            t -= 1
-            before, rows_pending, cols_pending, lines_pending, open_a, open_b = frames[-1]
-            a, b, _, _, a_row, b_col = plan[t]
-            if values[t] < before:
+                untried.append(iter(steps[t + 1][state]))
                 break
-            values[t] = 0
-            is_open[a] = open_a
-            is_open[b] = open_b
-            frames.pop()
-        values[t] += 1
-        remaining = before - values[t]
-        is_open[a] = is_open[b] = False
-        rows_pending -= open_a and a_row
-        cols_pending -= open_b and b_col
-        lines_pending -= open_a + open_b
-        t += 1
+        else:
+            untried.pop()
 
 
 def _builder(d, cells):
@@ -354,37 +339,26 @@ class CountTable:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def _tally(total, kinds, plan, k_at, p_at):
+def _tally(total, lines, plan, k_at, p_at):
     """{(k, p): count} over the value tuples ``_fill_assignments(total,
-    kinds, plan)`` yields, k and p summing a tuple at the positions in k_at
+    lines, plan)`` yields, k and p summing a tuple at the positions in k_at
     and p_at, found without listing the tuples.
 
-    A forward dynamic program over the cells in row-major order.  A state is
-    the mass left and the bitmask of lines still open, and maps each pair of
-    partial (k, p) sums reaching it to its number of prefixes.  A positive
-    value closes both lines of its cell.  A line still open past its last
-    cell never closes, so a cell takes 0 only where no open line ends, and
-    a state is dropped once its open lines outnumber twice the mass left,
-    since one unit closes at most two lines.  The tuples are the prefixes
-    reaching mass 0 with no line open.
+    A forward dynamic program over the cells in row-major order and the
+    states of ``_moves``: each state reached maps each pair of partial
+    (k, p) sums to its number of prefixes.  The tuples are the prefixes
+    reaching (0, 0).
     """
     # a pair of sums is held as k * (total + 1) + p, each sum being at most total
     base = total + 1
-    states = {(total, (1 << len(kinds)) - 2): {0: 1}}
-    for t, (a, b, a_ends, b_ends, _, _) in enumerate(plan):
-        # bit 0 is line 0, which is never open
-        through = ((1 << a) | (1 << b)) & ~1
-        ending = ((a_ends << a) | (b_ends << b)) & ~1
+    states = {(total, lines): {0: 1}}
+    for t, (through, ending) in enumerate(plan):
         step = base * (t in k_at) + (t in p_at)
         following = {}
-        for (left, open_lines), table in states.items():
-            closed = open_lines & ~through
-            moves = [((left - v, closed), v * step)
-                     for v in range(1, left - (closed.bit_count() + 1) // 2 + 1)]
-            if not open_lines & ending:
-                moves.append(((left, open_lines), 0))
-            for state, shift in moves:
-                target = following.setdefault(state, {})
+        for state, table in states.items():
+            for v, after in _moves(*state, through, ending):
+                shift = v * step
+                target = following.setdefault(after, {})
                 for key, count in table.items():
                     key += shift
                     target[key] = target.get(key, 0) + count

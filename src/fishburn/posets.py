@@ -2,10 +2,11 @@
 
 An interval order is a poset with no induced pair of disjoint 2-element
 chains.  Equivalently its strict down-sets form a chain under inclusion,
-and the index of an element's down-set in that chain (its level), together
-with the index of its up-set in the dual chain (its up-level), encodes the
-poset as an upper-triangular matrix: cell (i, j) counts the elements with
-level i and up-level j.  Every row and column of the encoding is nonzero,
+which is how ``is_interval_order`` decides it, and the index of an
+element's down-set in that chain (its level), together with the index of
+its up-set in the dual chain (its up-level), encodes the poset as an
+upper-triangular matrix: cell (i, j) counts the elements with level i and
+up-level j.  Every row and column of the encoding is nonzero,
 and the encoding inverts exactly, which makes matrix enumeration double as
 interval-order enumeration up to isomorphism.
 
@@ -19,9 +20,12 @@ x - 1 stands for element x).  The level chains sort distinct masks by
 popcount and test inclusion as ``a & ~b == 0``; the self-duality search
 checks a candidate image with two mask comparisons; and twins, elements
 with equal masks, are interchangeable, so the search and
-``canonical_form`` permute twin classes rather than elements.  The decoder
-``fishburn_to_poset`` needs no masks: its row-major labels put the
-elements above any up-level in one suffix of the labels.
+``canonical_form`` permute twin classes rather than elements.  The text
+boundary uses the same masks: ``parse_poset`` closes the relation over
+up-set masks, and the public constructor checks transitivity as one mask
+inclusion per pair, the up-set of y inside that of x for x below y.  The
+decoder ``fishburn_to_poset`` needs no masks: its row-major labels put
+the elements above any up-level in one suffix of the labels.
 """
 
 import itertools
@@ -80,17 +84,22 @@ class Poset:
     def __post_init__(self):
         if self.n_elements < 1:
             raise ValueError("a poset needs at least one element")
+        # range membership also turns away a non-integer such as 1.5
+        elements = range(1, self.n_elements + 1)
         for x, y in self.relation:
-            if not (1 <= x <= self.n_elements and 1 <= y <= self.n_elements):
+            if x not in elements or y not in elements:
                 raise ValueError(f"pair ({x}, {y}) outside elements 1..{self.n_elements}")
             if x == y:
                 raise ValueError(f"relation is not irreflexive at element {x}")
+        # transitive exactly when each y above x has its up-set inside x's
+        ups = _masks(self)[1]
         for x, y in self.relation:
-            for z, w in self.relation:
-                if y == z and (x, w) not in self.relation:
-                    raise ValueError(
-                        f"relation is not transitive: ({x}, {y}) and ({z}, {w}) "
-                        f"without ({x}, {w})")
+            missing = ups[y - 1] & ~ups[x - 1]
+            if missing:
+                w = (missing & -missing).bit_length()
+                raise ValueError(
+                    f"relation is not transitive: ({x}, {y}) and ({y}, {w}) "
+                    f"without ({x}, {w})")
 
     def less(self, x, y):
         return (x, y) in self.relation
@@ -123,19 +132,9 @@ class LevelDecomposition:
 
 def is_interval_order(p):
     """True when no four distinct elements form two comparable pairs with
-    all four cross relations absent."""
-    rel = p.relation
-    pairs = tuple(rel)
-    for a, b in pairs:
-        for c, d in pairs:
-            if len({a, b, c, d}) != 4:
-                continue
-            if ((a, c) not in rel and (c, a) not in rel
-                    and (a, d) not in rel and (d, a) not in rel
-                    and (b, c) not in rel and (c, b) not in rel
-                    and (b, d) not in rel and (d, b) not in rel):
-                return False
-    return True
+    all four cross relations absent, that is, when the down-sets form a
+    chain."""
+    return _chain(_masks(p)[0]) is not None
 
 
 def _masks(p):
@@ -393,7 +392,8 @@ def parse_poset(text):
     if len(head) != 1 or not _is_uint(head[0]) or int(head[0]) < 1:
         raise ParseError("line 1: expected a positive element count")
     n = int(head[0])
-    relation = set()
+    # bit y - 1 of ups[x] stands for y above x
+    ups = [0] * (n + 1)
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
@@ -405,19 +405,19 @@ def parse_poset(text):
             raise ParseError(f"line {lineno}: pair ({x}, {y}) outside elements 1..{n}")
         if x == y:
             raise ParseError(f"line {lineno}: element {x} cannot be below itself")
-        relation.add((x, y))
-    changed = True
-    while changed:
-        changed = False
-        for x, y in tuple(relation):
-            for z, w in tuple(relation):
-                if y == z and (x, w) not in relation:
-                    relation.add((x, w))
-                    changed = True
-    for x, y in sorted(relation):
-        if x == y or (y, x) in relation:
+        ups[x] |= 1 << (y - 1)
+    # the transitive closure: once every element up to k has been passed
+    # through, ups[x] holds each y reached from x by a path whose inner
+    # elements are all at most k
+    for k in range(1, n + 1):
+        for x in range(1, n + 1):
+            if ups[x] >> (k - 1) & 1:
+                ups[x] |= ups[k]
+    for x in range(1, n + 1):
+        if ups[x] >> (x - 1) & 1:
             raise ParseError(f"element {x} lies on a cycle")
-    return Poset(n, frozenset(relation))
+    return Poset(n, frozenset((x, y) for x in range(1, n + 1) for y in range(1, n + 1)
+                              if ups[x] >> (y - 1) & 1))
 
 
 def format_poset(p):

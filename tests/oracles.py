@@ -169,11 +169,18 @@ def all_posets(n):
             yield Poset(n, frozenset(relation))
 
 
-def downsets_form_chain(p):
-    """Interval-order test by the chain characterization, independent of
-    the induced-subposet scan in the package."""
-    downs = [p.down_set(x) for x in range(1, p.n_elements + 1)]
-    return all(a <= b or b <= a for a in downs for b in downs)
+def no_two_plus_two(p):
+    """Interval-order test by the definition: no four distinct elements
+    form two comparable pairs with all four cross relations absent.  It
+    compares every pair of relation pairs, independent of the chain
+    characterization in the package."""
+    rel = p.relation
+    for a, b in rel:
+        for c, d in rel:
+            if len({a, b, c, d}) == 4 and not any(
+                    (u, v) in rel or (v, u) in rel for u in (a, b) for v in (c, d)):
+                return False
+    return True
 
 
 def brute_canonical(p):

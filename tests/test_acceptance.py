@@ -29,7 +29,7 @@ from oracles import (
     brute_family,
     brute_self_dual_full,
     brute_self_dual_mirrored,
-    downsets_form_chain,
+    no_two_plus_two,
     upper_matrices,
 )
 from vectors import (
@@ -142,7 +142,7 @@ def test_criterion_7_poset_leg_to_size_5():
         # isomorphism classes of the interval orders among them
         for n in range(1, 5):
             classes = {brute_canonical(p)
-                       for p in all_posets(n) if downsets_form_chain(p)}
+                       for p in all_posets(n) if no_two_plus_two(p)}
             assert len(classes) == INTERVAL_ORDER_COUNTS[n - 1]
 
 

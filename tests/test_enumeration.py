@@ -105,9 +105,9 @@ def test_enumerate_rejects_nonpositive_size():
 
 
 # SHA-256 of repr([m.rows for m in members]) and of count_refined(...).to_json()
-# for every family and n = 1..6, recorded from the recursive walk the
-# current one replaced; any change to the emission order or to a count
-# table changes a digest
+# for every family and n = 1..7: n <= 6 recorded from the recursive walk,
+# n = 7 from the frame-stack walk, each before the walk that replaced it;
+# any change to the emission order or to a count table changes a digest
 _WALK_DIGESTS = {
     ("fishburn", 1): ("f2cb19bf566e9bf781b8e71a38981c8a1bb826bcc238e08031749d5b9c42af51",
                       "e33b9a88c97873b85a0e30bf887109f1dee0b74e176f1130dc68d282772f7993"),
@@ -121,6 +121,8 @@ _WALK_DIGESTS = {
                       "cb8deeb40b0317e6d56d824f0dad14ece86232960078760e8928079f70f3137a"),
     ("fishburn", 6): ("dd94d6c71f18e583e7e73581914161a9ba972acb1f90daab615c61a235c2ced8",
                       "7cffcfd5805d1e6341bd52438d2dd0427091b2894e53e50ac8b44d64babeb219"),
+    ("fishburn", 7): ("ad6fcf322f5c1c03544006136ccd6c37402c8e10dd86e40c6e82ac425d3c6bf0",
+                      "4f6cb9c7178ece77f168ab7eaf8f1ccd723359659b939f64b1a181911594c5c0"),
     ("self_dual", 1): ("de9cd646d9058fa1663c6c5bc94f26f9c8bdf681abd1937055ee45541bb3c340",
                        "59de618aeafddee451f98ebf33700ecbd5e676ebede029dee94d485fbae530c1"),
     ("self_dual", 2): ("3935c7d33749431a1baf88f1caa24e4161435fa1ccb31b3cf654bd3b53614060",
@@ -133,6 +135,8 @@ _WALK_DIGESTS = {
                        "437a0fb5127c61acea31ae553ce7798bd95cee5af4a1aa5287f6a6824fc8a1e9"),
     ("self_dual", 6): ("8b7eb57bde467529955e3cd1ce26b8f8cc7523b61701ca75fda87903029b751d",
                        "4e6e3ef44076e4a8b4e4b8a3b7010b2c98a4efa96a364a380e796d35b12bc121"),
+    ("self_dual", 7): ("e6d8aa60d01910334e9bf84a340c9a58d69a97cfe2a18a2bb0c1e142d6c10a4b",
+                       "ecf677ed9aadc78942ba03db4c5d25e0d8118a501eedd815194857e73aa0d667"),
     ("rm", 1): ("f2cb19bf566e9bf781b8e71a38981c8a1bb826bcc238e08031749d5b9c42af51",
                 "82c4877f1439268f5f90bc07b907c2e16de82d16913dfbb21772dde22aa0daf4"),
     ("rm", 2): ("ef9ee4e0317531b37282c9bd2d9840e174b23f731463b1d76686137181383a31",
@@ -145,6 +149,8 @@ _WALK_DIGESTS = {
                 "2f8b5b2154721a5faeee2204be15bb823817979420e6a80db2fa6d016c8deba3"),
     ("rm", 6): ("e259ab60811f459a45cffdc2a516e357d1b4384e35707b46c043353ed71674a6",
                 "5320f8311f82788b6cc47359c077ec488b6fe1e26a77120305e75d7f1b83b975"),
+    ("rm", 7): ("1919c6be0bcc75e24652a2db23e9db958ba2a563ba7ed47a85eaa5673b9c5312",
+                "2f78bf9286361a9c4173f11826c7133eff3027bd66a13283229e21fe026d2ca5"),
     ("sm", 1): ("047d8c0a355aba2353550b4f272fe4da687324f0883b3edc7bcbc4aad5219c45",
                 "f8246121cb12e0c97fc7fa8e49d7c553009eb419cf7e5ec07ff753d21af53f67"),
     ("sm", 2): ("27c700c0ddf5718e953323d0de2952a722d7de18266d0d5551c3ccf595ec57e8",
@@ -157,6 +163,8 @@ _WALK_DIGESTS = {
                 "fbc1cadd01b13755cd2f80996c90d877414295890f25000e2084cc7b1ca21bee"),
     ("sm", 6): ("0248c2149c99f54dff67cb6ae591412bae7d47b68db6a5102b01c1f01fa8d64f",
                 "e2ffa62b01814da43eb8db9350f5436bb053e82d63f8156ac35408696fb9eab5"),
+    ("sm", 7): ("0c070966fba1b96f83a103978b6ac3c468764e1fcbf236c753030d8826a82ec6",
+                "e257a0796cb2480d25f1b435ae2ab0df81d625381a5b44517188f649825d9d3d"),
     ("b", 1): ("52fff728db7c4273e51c68077de4defd4f00226ed97a9e751b21a0381d9335b1",
                "bb39a33fb27d78551a154caf30aee4113c749b499613db9f2b9343a535b1eeb8"),
     ("b", 2): ("ed62673c1633bc8cfc3fb30115ada94bf7c9dfd623212f65facafb5b0b79cce7",
@@ -169,6 +177,8 @@ _WALK_DIGESTS = {
                "94dac687a5e5c4699413c31b1f9b74619d678db861e1bfac7958d187d76d82db"),
     ("b", 6): ("8880571077e4221af1785b64e543598e52280c80a77d4bc97e9b23d3dcfbac3a",
                "82aa1d79d917a59eb778016f1c7e5aaa07388efc82f2f4a14b08ae078c4cdd7b"),
+    ("b", 7): ("f35507bbff241ee686c5e8e8970f82c29b76f87722d3fcab28c8bb6554a52b9f",
+               "b4bc8bd711d27138f2a2dc0306d151df756c565a3c112e632d0b988fedc75832"),
 }
 
 
@@ -178,7 +188,7 @@ def _sha256(text):
 
 @pytest.mark.parametrize("family", list(FamilyTag), ids=lambda f: f.value)
 def test_emission_order_and_count_tables_pinned(family):
-    for n in range(1, 7):
+    for n in range(1, 8):
         members = enumerate_family.__wrapped__(family, n)
         assert (_sha256(repr([m.rows for m in members])),
                 _sha256(count_refined(family, n).to_json())) \
@@ -197,6 +207,19 @@ def test_enumeration_is_deterministic():
     walk = enumerate_family.__wrapped__
     assert walk(FamilyTag.SELF_DUAL, 3) == walk(FamilyTag.SELF_DUAL, 3)
     assert walk(FamilyTag.SM, 3) == walk(FamilyTag.SM, 3)
+
+
+def test_plans_without_members_yield_nothing():
+    cells = ((1, 1), (1, 2), (2, 2))
+    # one unit closes at most two of the four lines; row 3 holds no cell
+    for total, lines in ((1, enumeration._lines(cells, (1, 2), (1, 2))),
+                         (3, enumeration._lines(cells, (1, 3), ()))):
+        assert list(enumeration._fill_assignments(total, *lines)) == []
+        assert enumeration._tally(total, *lines, {0}, {1}) == {}
+    # with the mass to close them, both lines of row 1 and column 2 meet at (1, 2)
+    lines = enumeration._lines(cells, (1,), (2,))
+    assert list(enumeration._fill_assignments(1, *lines)) == [(0, 1, 0)]
+    assert enumeration._tally(1, *lines, {0}, {1}) == {(0, 1): 1}
 
 
 # --- trusted construction ---------------------------------------------------------

@@ -30,7 +30,7 @@ from fishburn import (
 from fishburn.matrices import selfdual_violation
 from fishburn.posets import _masks
 from matrix_strategies import fishburn_matrices
-from oracles import all_posets, brute_canonical, downsets_form_chain
+from oracles import all_posets, brute_canonical, no_two_plus_two
 from vectors import A5, INTERVAL_ORDER_COUNTS, POSET_MATRIX, POSET_RELATION
 
 TWO_PLUS_TWO = Poset(4, frozenset({(1, 2), (3, 4)}))
@@ -49,6 +49,8 @@ def test_poset_validates_bounds_and_irreflexivity():
         Poset(0, frozenset())
     with pytest.raises(ValueError, match="outside elements"):
         Poset(2, frozenset({(1, 3)}))
+    with pytest.raises(ValueError, match="outside elements"):
+        Poset(2, frozenset({(1.5, 2)}))
     with pytest.raises(ValueError, match="irreflexive"):
         Poset(2, frozenset({(1, 1)}))
 
@@ -84,10 +86,10 @@ def test_small_interval_orders():
     assert is_interval_order(chain)
 
 
-def test_detection_agrees_with_chain_characterization():
+def test_detection_agrees_with_two_plus_two_scan():
     for n in range(1, 5):
         for p in all_posets(n):
-            assert is_interval_order(p) == downsets_form_chain(p)
+            assert is_interval_order(p) == no_two_plus_two(p), p
 
 
 def test_decomposition_succeeds_exactly_on_interval_orders():
@@ -360,11 +362,28 @@ def test_format_poset_golden():
 def test_parse_poset_takes_transitive_closure():
     p = parse_poset("3\n1 2\n2 3\n")
     assert p.relation == frozenset({(1, 2), (2, 3), (1, 3)})
+    # a 60-chain's cover pairs, given top down
+    n = 60
+    p = parse_poset(f"{n}\n" + "".join(f"{x} {x + 1}\n" for x in range(n - 1, 0, -1)))
+    assert p.relation == frozenset(itertools.combinations(range(1, n + 1), 2))
+    assert is_interval_order(p)
 
 
 def test_parse_poset_roundtrip():
     for p in all_posets(3):
         assert parse_poset(format_poset(p)) == p
+
+
+def test_order_error_messages_pinned():
+    # the constructor names a missing pair and the two pairs that need it
+    with pytest.raises(ValueError) as caught:
+        Poset(3, frozenset({(1, 2), (2, 3)}))
+    assert str(caught.value) == \
+        "relation is not transitive: (1, 2) and (2, 3) without (1, 3)"
+    # the reader names the smallest element on a cycle, here 3 and not 1
+    with pytest.raises(ParseError) as caught:
+        parse_poset("5\n1 2\n2 4\n4 3\n3 4\n5 3\n")
+    assert str(caught.value) == "element 3 lies on a cycle"
 
 
 def test_parse_poset_errors():
