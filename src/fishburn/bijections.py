@@ -15,11 +15,17 @@ one center swap, and ``beta`` and ``beta_inv`` lay lines out by one
 placement rule, ``_relocation``, which ``beta_inv`` reads back from the
 dual in one scan.
 
-Each public map checks its input once, at entry.  Compositions call the
-unchecked bodies ``_beta``, ``_project`` and ``_expand`` on matrices that
-are members by construction; ``alpha_inv`` keeps the checked ``expand``,
-which is what rejects the 1 x 1 zero matrix.  The matrices a map builds
-skip the per-cell check of the public ``TriMatrix`` constructor.
+Each map that the identity checker transports members through has one
+unchecked body on row tuples: ``_fold`` (``alpha``), ``_beta``,
+``_project``, ``_embed`` (``embed_rm_in_b``), ``_embed_even``
+(``em_to_sm``) and their composition ``_chain``; a body takes the rows of
+a member and returns rows, or (rows, flag) for a signed matrix.  The
+public map checks its input once, at entry, and wraps what the body
+returns in ``TriMatrix._trusted``, which skips the per-cell check of the
+public constructor.  The checker calls the bodies on the rows of members
+it generated, so it runs no entry check and hashes plain tuples.
+``alpha_inv`` keeps the checked ``expand``, which is what rejects the
+1 x 1 zero matrix.
 
 ``alpha``, ``alpha_inv``, ``beta``, ``beta_inv`` and the chain
 ``selfdual_to_signed_rm`` can optionally record a trace: a sequence of
@@ -40,10 +46,10 @@ from .matrices import (
     NotSMMember,
     OddDimension,
     TriMatrix,
+    _dual_rows,
     _expand,
     _reduce,
     b_violation,
-    dual,
     expand,
     fishburn_violation,
     require,
@@ -93,16 +99,21 @@ class SignedRowFishburn:
         return s
 
 
-def _insert_zero_line(m, k):
-    # m with a zero row and a zero column at 0-based index k
-    rows = tuple(row[:k] + (0,) + row[k:] for row in m.rows)
-    return TriMatrix._trusted(rows[:k] + ((0,) * (m.dim + 1),) + rows[k:])
+def _signed(pair):
+    # the public value of a body's (rows, flag)
+    rows, flag = pair
+    return SignedRowFishburn._trusted(TriMatrix._trusted(rows), flag)
 
 
-def _drop_line(m, k):
-    # m without its row and column at 0-based index k
-    rows = m.rows[:k] + m.rows[k + 1:]
-    return TriMatrix._trusted(tuple(row[:k] + row[k + 1:] for row in rows))
+def _insert_zero_line(rows, k):
+    # rows with a zero row and a zero column at 0-based index k
+    rows = tuple(row[:k] + (0,) + row[k:] for row in rows)
+    return rows[:k] + ((0,) * (len(rows) + 1),) + rows[k:]
+
+
+def _drop_line(rows, k):
+    # rows without the row and column at 0-based index k
+    return tuple(row[:k] + row[k + 1:] for row in rows[:k] + rows[k + 1:])
 
 
 # --- center fold and its inverse --------------------------------------------
@@ -122,18 +133,22 @@ def alpha(m, want_trace=False):
     """
     require(selfdual_violation, NotSelfDual, m)
     require(fishburn_violation, NotFishburn, m)
-    r = _reduce(m)
-    steps = [("A(0)", m), ("A(1)", r)]
-    d = m.dim
-    k = d // 2
-    if d % 2 == 0:
-        r = _insert_zero_line(r, k)
-        steps.append(("A(2)", r))
-    out = _swap_center(r)
+    out = TriMatrix._trusted(_fold(m.rows))
     if want_trace:
+        r = _reduce(m.rows)
+        steps = [("A(0)", m), ("A(1)", TriMatrix._trusted(r))]
+        if m.dim % 2 == 0:
+            steps.append(("A(2)", TriMatrix._trusted(_insert_zero_line(r, m.dim // 2))))
         steps.append(("S", out))
         return out, BijectionTrace(tuple(steps))
     return out
+
+
+def _fold(rows):
+    # ``alpha`` on the rows of a self-dual matrix with nonzero rows and
+    # columns; at an even dimension the reduced rows are padded as
+    # ``em_to_sm`` pads them
+    return _swap_center(_embed_even(rows) if len(rows) % 2 == 0 else _reduce(rows))
 
 
 def alpha_inv(s, want_trace=False):
@@ -142,10 +157,10 @@ def alpha_inv(s, want_trace=False):
     case leaves them so), and mirror the NW half back into SE."""
     require(sm_violation, NotSMMember, s)
     k = s.dim // 2
-    g = _swap_center(s)
+    g = TriMatrix._trusted(_swap_center(s.rows))
     steps = [("A(0)", s), ("A(1)", g)]
     if k >= 1 and not any(row[k] for row in g.rows) and not any(g.rows[k]):
-        g = _drop_line(g, k)
+        g = TriMatrix._trusted(_drop_line(g.rows, k))
         steps.append(("A(2)", g))
     # checked: the 1 x 1 zero matrix is an sm member that has no preimage
     out = expand(g)
@@ -155,16 +170,16 @@ def alpha_inv(s, want_trace=False):
     return out
 
 
-def _swap_center(m):
+def _swap_center(rows):
     # at odd dimension 2k + 1, row i's center cell (i, k + 1) and diagonal
     # cell (i, 2k + 2 - i) trade places for i = 1..k; its own inverse
-    k = m.dim // 2
+    k = len(rows) // 2
     swapped = []
-    for i, row in enumerate(m.rows[:k]):
+    for i, row in enumerate(rows[:k]):
         row = list(row)
         row[k], row[-1 - i] = row[-1 - i], row[k]
         swapped.append(tuple(row))
-    return TriMatrix._trusted(tuple(swapped) + m.rows[k:])
+    return tuple(swapped) + rows[k:]
 
 
 # --- column relocation and its inverse ---------------------------------------
@@ -189,7 +204,17 @@ def beta(a, want_trace=False):
     require(sm_violation, NotSMMember, a)
     if a.size() == 0:
         raise DegenerateMatrix("the all-zero matrix has no image")
-    return _beta(a, want_trace)
+    out = TriMatrix._trusted(_beta(a.rows))
+    if want_trace:
+        moved = _moved(a.rows)
+        block = _block(a.rows, moved)
+        steps = [("A(0)", a)]
+        steps += ((f"A({t})", x) for t, x in enumerate(_relocation_steps(a.rows, moved), 1))
+        if len(block) > 1:
+            steps.append(("B", TriMatrix._trusted(block)))
+        steps.append(("A'", out))
+        return out, BijectionTrace(tuple(steps))
+    return out
 
 
 def _relocation(d, moved):
@@ -207,35 +232,36 @@ def _relocation(d, moved):
     return lines
 
 
-def _lay_out(a, lines):
+def _lay_out(rows, lines):
     # a zero appended to each source row is read through index -1
     cols = [-1 if c is None else c for _, c in lines]
     zero = (0,) * len(lines)
-    return TriMatrix._trusted(tuple(
-        zero if r is None else tuple(map((a.rows[r] + (0,)).__getitem__, cols))
-        for r, _ in lines))
+    return tuple(zero if r is None else tuple(map((rows[r] + (0,)).__getitem__, cols))
+                 for r, _ in lines)
 
 
-def _beta(a, want_trace=False):
-    # ``beta`` for an sm member of positive size
-    r = (a.dim - 1) // 2
-    columns = tuple(zip(*a.rows))
-    moved = [i for i in range(r, 0, -1) if any(columns[r + i])]
-    block = _lay_out(a, _relocation(a.dim, moved)[:r + 1 + len(moved)])
-    out = dual(block)
-    if want_trace:
-        steps = [("A(0)", a)]
-        steps += ((f"A({t})", x) for t, x in enumerate(_relocation_steps(a, moved), 1))
-        if block.dim > 1:
-            steps.append(("B", block))
-        steps.append(("A'", out))
-        return out, BijectionTrace(tuple(steps))
-    return out
+def _moved(rows):
+    # the offsets right of center of the nonzero columns, largest first
+    r = (len(rows) - 1) // 2
+    columns = tuple(zip(*rows))
+    return [i for i in range(r, 0, -1) if any(columns[r + i])]
 
 
-def _relocation_steps(a, moved):
-    # the steps A(1)..A(s) of ``beta`` on a: the first t of its s moves
-    return [_lay_out(a, _relocation(a.dim, moved[:t])) for t in range(1, len(moved) + 1)]
+def _block(rows, moved):
+    # the kept top-left block once the columns at offsets ``moved`` are moved
+    r = (len(rows) - 1) // 2
+    return _lay_out(rows, _relocation(len(rows), moved)[:r + 1 + len(moved)])
+
+
+def _beta(rows):
+    # ``beta`` on the rows of an sm member of positive size
+    return _dual_rows(_block(rows, _moved(rows)))
+
+
+def _relocation_steps(rows, moved):
+    # the steps A(1)..A(s) of ``beta`` on rows: the first t of its s moves
+    return [TriMatrix._trusted(_lay_out(rows, _relocation(len(rows), moved[:t])))
+            for t in range(1, len(moved) + 1)]
 
 
 def beta_inv(a_prime, want_trace=False):
@@ -253,8 +279,7 @@ def beta_inv(a_prime, want_trace=False):
     require(b_violation, NotBMember, a_prime)
     if a_prime.size() == 0:
         raise DegenerateMatrix("the all-zero matrix has no preimage")
-    block = dual(a_prime)
-    rows = block.rows
+    rows = _dual_rows(a_prime.rows)
     # B's first row is the reversed last column of a b member of positive
     # size, which is nonzero, so the scan keeps the first line
     kept = [len(rows) - 1]
@@ -267,9 +292,10 @@ def beta_inv(a_prime, want_trace=False):
     r = len(kept) - 1
     lines = [(q, q) for q in reversed(kept)]
     lines += ((None, relocated.get(i)) for i in range(1, r + 1))
-    out = _lay_out(block, lines)
+    out = TriMatrix._trusted(_lay_out(rows, lines))
     if want_trace:
-        snapshots = _relocation_steps(out, sorted(relocated, reverse=True))[::-1] + [out]
+        moved = sorted(relocated, reverse=True)
+        snapshots = _relocation_steps(out.rows, moved)[::-1] + [out]
         steps = [("A(0)", a_prime)]
         steps += ((f"A({t})", x) for t, x in enumerate(snapshots, 1))
         return out, BijectionTrace(tuple(steps))
@@ -285,9 +311,12 @@ def embed_rm_in_b(a, add_zero_first):
     (flag 1).  The pair map is injective, which gives the factor 2."""
     _require_bit(add_zero_first, "add_zero_first")
     require(row_fishburn_violation, NotRowFishburn, a)
-    if not add_zero_first:
-        return a
-    return _insert_zero_line(a, 0)
+    return TriMatrix._trusted(_embed(a.rows, add_zero_first))
+
+
+def _embed(rows, flag):
+    # ``embed_rm_in_b`` on the rows of a matrix with nonzero rows
+    return _insert_zero_line(rows, 0) if flag else rows
 
 
 def project_b_to_signed_rm(m):
@@ -296,17 +325,17 @@ def project_b_to_signed_rm(m):
     require(b_violation, NotBMember, m)
     if m.size() == 0:
         raise DegenerateMatrix("the all-zero matrix cannot be projected")
-    return _project(m)
+    return _signed(_project(m.rows))
 
 
-def _project(m):
-    # ``project_b_to_signed_rm`` for a b member of positive size
-    if m.row_sum(1) == 0:
+def _project(rows):
+    # ``project_b_to_signed_rm`` on the rows of a b member of positive
+    # size, as (rows, flag)
+    if not any(rows[0]):
         # rows 2.. are nonzero and hold 0 in column 1, so stripping that
         # row and column leaves every row nonzero
-        stripped = TriMatrix._trusted(tuple(row[1:] for row in m.rows[1:]))
-        return SignedRowFishburn._trusted(stripped, 1)
-    return SignedRowFishburn._trusted(m, 0)
+        return tuple(row[1:] for row in rows[1:]), 1
+    return rows, 0
 
 
 def selfdual_to_signed_rm(m, want_trace=False):
@@ -316,12 +345,19 @@ def selfdual_to_signed_rm(m, want_trace=False):
     Only ``alpha`` checks: its image is an ``sm`` member of positive size,
     and the image of that under ``beta`` a ``b`` member."""
     s = alpha(m)
-    b_img = _beta(s)
-    signed = _project(b_img)
+    b_rows = _beta(s.rows)
+    signed = _signed(_project(b_rows))
     if want_trace:
-        steps = (("A(0)", m), ("alpha", s), ("beta", b_img), ("R", signed.matrix))
+        steps = (("A(0)", m), ("alpha", s), ("beta", TriMatrix._trusted(b_rows)),
+                 ("R", signed.matrix))
         return signed, BijectionTrace(steps)
     return signed
+
+
+def _chain(rows):
+    # ``selfdual_to_signed_rm`` on the rows of a self-dual matrix with
+    # nonzero rows and columns, as (rows, flag)
+    return _project(_beta(_fold(rows)))
 
 
 # --- parity embedding --------------------------------------------------------
@@ -337,7 +373,13 @@ def em_to_sm(m):
     if m.dim % 2:
         raise OddDimension(f"dimension {m.dim} is odd, expected even")
     require(fishburn_violation, NotFishburn, m)
-    return _insert_zero_line(_reduce(m), m.dim // 2)
+    return TriMatrix._trusted(_embed_even(m.rows))
+
+
+def _embed_even(rows):
+    # ``em_to_sm`` on the rows of an even-dimension self-dual matrix with
+    # nonzero rows and columns
+    return _insert_zero_line(_reduce(rows), len(rows) // 2)
 
 
 def sm_to_em(s):
@@ -351,4 +393,4 @@ def sm_to_em(s):
     if any(row[k] for row in s.rows) or any(s.rows[k]):
         raise MatrixConditionError(
             f"column {k + 1} or row {k + 1} nonzero, not in the embedding image")
-    return _expand(_drop_line(s, k))
+    return _expand(TriMatrix._trusted(_drop_line(s.rows, k)))

@@ -32,8 +32,11 @@ source members with keys, names a map, and gives the target family as a
 table from each target to its key; one routine checks every leg for
 injectivity, escape from the target set, image-set equality and key
 transport, reading image keys from that table rather than recomputing them.
-The identities at one size share one pass, which builds each family's
-statistics and each map image once.
+Legs run over row tuples: a member is its rows, or (rows, flag) for a
+signed matrix, each map is its unchecked body in ``bijections``, and a
+witness becomes a ``TriMatrix`` only when a leg fails.  The identities at
+one size share one pass, which builds each family's statistics and each
+chain image once.
 """
 
 import csv
@@ -44,14 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
 
-from .bijections import (
-    SignedRowFishburn,
-    beta,
-    em_to_sm,
-    embed_rm_in_b,
-    project_b_to_signed_rm,
-    selfdual_to_signed_rm,
-)
+from .bijections import _beta, _chain, _embed, _embed_even, _project
 from .matrices import (
     Parity,
     TriMatrix,
@@ -397,10 +393,11 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class _Leg:
-    """One transport leg: ``apply`` must send the ``sources`` (member, key)
-    pairs one-to-one onto the ``targets`` table (target -> key), each image
-    carrying its source's key; ``inverse``, when given, must send every
-    image back to its source."""
+    """One transport leg over row tuples: ``apply`` must send the
+    ``sources`` (member, key) pairs one-to-one onto the ``targets`` table
+    (target -> key), each image carrying its source's key; ``inverse``, when
+    given, must send every image back to its source.  A member is its rows,
+    or the pair (rows, flag) of a signed matrix."""
 
     name: str
     sources: list
@@ -409,8 +406,14 @@ class _Leg:
     inverse: object = None
 
 
+def _matrix(member):
+    # the witness of a member, a signed one being reported by its matrix
+    return TriMatrix._trusted(member[0] if isinstance(member[0][0], tuple) else member)
+
+
 def _check_leg(leg):
-    """None when the leg holds, else (detail, witness)."""
+    """None when the leg holds, else (detail, witness), the witness built as
+    a ``TriMatrix`` only here, on failure."""
     images = {}
     for source, key in leg.sources:
         image = leg.apply(source)
@@ -423,18 +426,17 @@ def _check_leg(leg):
         else:
             images[image] = source
             continue
-        # a signed source is reported by its matrix
-        return f"{problem} under {leg.name}", getattr(source, "matrix", source)
+        return f"{problem} under {leg.name}", _matrix(source)
     if len(images) != len(leg.targets):
         return f"image set misses targets under {leg.name}", None
     if leg.inverse is not None:
         for image, source in images.items():
             if leg.inverse(image) != source:
-                return f"inverse map does not undo {leg.name}", image
+                return f"inverse map does not undo {leg.name}", _matrix(image)
     return None
 
 
-def _spec(identity, n, with_stats, chain, signed):
+def _spec(identity, n, with_stats, chain):
     """(count tables that must agree, transport legs, passing detail) for
     one identity at size n.  eq1, eq2 and eq3 map slices of the self-dual
     family through the chain into rm x {1}, rm x {0} and rm x {0, 1}; eq4
@@ -442,47 +444,45 @@ def _spec(identity, n, with_stats, chain, signed):
     family into the zero-center slice of sm and that slice on into rm."""
     if identity == "eq8":
         selfdual = with_stats(FamilyTag.SELF_DUAL)
-        even = [(m, st.first_row_sum) for m, st in selfdual if m.dim % 2 == 0]
-        odd = [(m, st.first_row_sum) for m, st in selfdual if m.dim % 2 == 1]
+        even = [(m, st.first_row_sum) for m, st in selfdual if st.dim % 2 == 0]
+        odd = [(m, st.first_row_sum) for m, st in selfdual if st.dim % 2 == 1]
         rm_k = {r: st.last_col_sum for r, st in with_stats(FamilyTag.RM)}
         zero_center = {s: st.first_row_sum for s, st in with_stats(FamilyTag.SM)
                        if st.center_col_sum == 0}
         tables = [Counter(k for _, k in even), Counter(k for _, k in odd),
                   Counter(rm_k.values())]
-        legs = [_Leg("the parity embedding", even, em_to_sm, zero_center),
+        legs = [_Leg("the parity embedding", even, _embed_even, zero_center),
                 _Leg("column relocation on the zero-center slice",
-                     list(zero_center.items()),
-                     lambda s: project_b_to_signed_rm(beta(s)).matrix, rm_k)]
+                     list(zero_center.items()), lambda s: _project(_beta(s))[0], rm_k)]
         return tables, legs, (f"even {len(even)} = odd {len(odd)} = {len(rm_k)} "
                               f"over {len(tables[2])} first-row classes")
-    rm = enumerate_family(FamilyTag.RM, n)
+    rm = [r.rows for r in enumerate_family(FamilyTag.RM, n)]
     if identity == "eq1":
         leg = _Leg("the map chain on the zero-sum slice",
                    [(m, st.first_row_sum)
                     for m, st in with_stats(FamilyTag.SELF_DUAL) if st.diag_sum == 0],
                    chain,
-                   {signed(r, 1): st.last_col_sum
-                    for r, st in with_stats(FamilyTag.RM)})
+                   {(r, 1): st.last_col_sum for r, st in with_stats(FamilyTag.RM)})
         classes = "first-row classes"
     elif identity == "eq2":
         leg = _Leg("the map chain on the positive-sum slice",
                    [(m, (st.first_row_sum, st.diag_sum))
                     for m, st in with_stats(FamilyTag.SELF_DUAL) if st.diag_sum >= 1],
                    chain,
-                   {signed(r, 0): (st.last_col_sum, st.first_row_sum)
+                   {(r, 0): (st.last_col_sum, st.first_row_sum)
                     for r, st in with_stats(FamilyTag.RM)})
         classes = "refined classes"
     elif identity == "eq3":
         leg = _Leg("the full map chain",
-                   [(m, None) for m in enumerate_family(FamilyTag.SELF_DUAL, n)],
+                   [(m.rows, None) for m in enumerate_family(FamilyTag.SELF_DUAL, n)],
                    chain,
-                   dict.fromkeys(signed(r, flag) for r in rm for flag in (0, 1)))
+                   dict.fromkeys((r, flag) for r in rm for flag in (0, 1)))
     else:
         leg = _Leg("the embedding",
-                   [(signed(r, flag), None) for r in rm for flag in (0, 1)],
-                   lambda s: embed_rm_in_b(s.matrix, s.flag),
-                   dict.fromkeys(enumerate_family(FamilyTag.B, n)),
-                   inverse=project_b_to_signed_rm)
+                   [((r, flag), None) for r in rm for flag in (0, 1)],
+                   lambda s: _embed(*s),
+                   dict.fromkeys(b.rows for b in enumerate_family(FamilyTag.B, n)),
+                   inverse=_project)
     # a passing leg is a bijection carrying keys, so its source and target
     # counts agree, in total and per key
     tables = [Counter(key for _, key in leg.sources), Counter(leg.targets.values())]
@@ -500,11 +500,12 @@ def verify_identities(identities, n):
             raise ValueError(f"unknown identity {identity!r}, expected one of {IDENTITIES}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    # shared by the pass, each built on first use and dropped with the pass;
-    # the signed pairs are built from generated rm members, so they skip the
-    # row check of the public constructor
-    with_stats = cache(lambda family: [(m, stats(m)) for m in enumerate_family(family, n)])
-    pieces = (with_stats, cache(selfdual_to_signed_rm), cache(SignedRowFishburn._trusted))
+    # shared by the pass, each built on first use and dropped with the pass:
+    # each family's rows with their statistics, and each self-dual member's
+    # chain image, which eq1, eq2 and eq3 all read
+    with_stats = cache(lambda family: [(m.rows, stats(m))
+                                       for m in enumerate_family(family, n)])
+    pieces = (with_stats, cache(_chain))
     return [_verify(identity, n, *_spec(identity, n, *pieces)) for identity in identities]
 
 

@@ -327,14 +327,13 @@ def reduce(m):
     nonzero.  The result has size equal to ``reduced_size(m)``."""
     require(selfdual_violation, NotSelfDual, m)
     require(fishburn_violation, NotFishburn, m)
-    return _reduce(m)
+    return TriMatrix._trusted(_reduce(m.rows))
 
 
-def _reduce(m):
+def _reduce(rows):
     # row i keeps its cells up to column m + 1 - i
-    d = m.dim
-    return TriMatrix._trusted(tuple(
-        row[:d - r] + (0,) * r for r, row in enumerate(m.rows)))
+    d = len(rows)
+    return tuple(row[:d - r] + (0,) * r for r, row in enumerate(rows))
 
 
 def expand(m):

@@ -57,6 +57,10 @@ class NotSelfDualMatrix(NotSelfDual):
 # --- core types ----------------------------------------------------------------
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Poset:
     """Strict partial order on elements 1..n_elements.
@@ -82,13 +86,16 @@ class Poset:
         return p
 
     def __post_init__(self):
-        if self.n_elements < 1:
+        n = self.n_elements
+        if not _is_int(n):
+            raise ValueError(f"the element count must be an integer, not {n!r}")
+        if n < 1:
             raise ValueError("a poset needs at least one element")
-        # range membership also turns away a non-integer such as 1.5
-        elements = range(1, self.n_elements + 1)
         for x, y in self.relation:
-            if x not in elements or y not in elements:
-                raise ValueError(f"pair ({x}, {y}) outside elements 1..{self.n_elements}")
+            # a bool or a float such as 1.5 is no element, even where it
+            # compares equal to one
+            if not (_is_int(x) and _is_int(y) and 1 <= x <= n and 1 <= y <= n):
+                raise ValueError(f"pair ({x}, {y}) outside elements 1..{n}")
             if x == y:
                 raise ValueError(f"relation is not irreflexive at element {x}")
         # transitive exactly when each y above x has its up-set inside x's

@@ -416,3 +416,33 @@ def test_parity_embedding_exhaustive_small():
             assert stats(image).first_row_sum == stats(m).first_row_sum
             assert image.size() == n
             assert sm_to_em(image) == m
+
+
+# --- row bodies -------------------------------------------------------------
+# The verify pass calls each map's unchecked body on row tuples; a body must
+# give exactly the rows (and flag) of its public map.
+
+
+def _pair(signed):
+    return signed.matrix.rows, signed.flag
+
+
+def test_row_bodies_match_public_maps_up_to_size_6():
+    for n in range(1, 7):
+        for m in enumerate_family(FamilyTag.SELF_DUAL, n):
+            assert bijections._fold(m.rows) == alpha(m).rows
+            assert bijections._chain(m.rows) == _pair(selfdual_to_signed_rm(m))
+            if m.dim % 2 == 0:
+                assert bijections._embed_even(m.rows) == em_to_sm(m).rows
+        for s in enumerate_family(FamilyTag.SM, n):
+            if stats(s).center_col_sum == 0:
+                image = beta(s)
+                assert bijections._beta(s.rows) == image.rows
+                assert bijections._project(image.rows) == _pair(project_b_to_signed_rm(image))
+        for a in enumerate_family(FamilyTag.RM, n):
+            for flag in (0, 1):
+                image = embed_rm_in_b(a, flag)
+                assert bijections._embed(a.rows, flag) == image.rows
+                assert bijections._project(image.rows) == _pair(project_b_to_signed_rm(image))
+        for b in enumerate_family(FamilyTag.B, n):
+            assert bijections._project(b.rows) == _pair(project_b_to_signed_rm(b))

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from fishburn import SignedRowFishburn, enumeration, format_matrix
+from fishburn import enumeration, format_matrix
 from fishburn.cli import main
 from vectors import (
     A5,
@@ -85,13 +85,14 @@ def test_verify_without_asserts():
 
 
 def test_verify_failure_prints_counterexample(monkeypatch, capsys):
-    chain = enumeration.selfdual_to_signed_rm
+    # the checker runs the chain's row body, which returns (rows, flag)
+    chain = enumeration._chain
 
-    def flipped(m, want_trace=False):
-        signed = chain(m)
-        return SignedRowFishburn(signed.matrix, 1 - signed.flag)
+    def flipped(rows):
+        image, flag = chain(rows)
+        return image, 1 - flag
 
-    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm", flipped)
+    monkeypatch.setattr(enumeration, "_chain", flipped)
     assert main(["verify", "--identity", "eq1", "--max-size", "3"]) == 1
     out, _ = capsys.readouterr()
     assert "eq1 n=1: FAIL (" in out

@@ -484,7 +484,8 @@ def test_parity_split_is_even():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of chain, stats and SignedRowFishburn calls made after setup."""
+    """Counts of chain, stats and SignedRowFishburn calls made after setup;
+    the pass runs the chain through its row body."""
     counts = dict.fromkeys(("chain", "stats", "signed"), 0)
 
     def counting(name, fn):
@@ -495,8 +496,7 @@ def calls(monkeypatch):
 
     for family in FamilyTag:
         enumerate_family(family, 4)
-    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm",
-                        counting("chain", enumeration.selfdual_to_signed_rm))
+    monkeypatch.setattr(enumeration, "_chain", counting("chain", enumeration._chain))
     monkeypatch.setattr(enumeration, "stats", counting("stats", enumeration.stats))
     monkeypatch.setattr(SignedRowFishburn, "__post_init__",
                         counting("signed", SignedRowFishburn.__post_init__))
@@ -530,22 +530,27 @@ def test_identity_alone_does_no_extra_work(calls, identity):
     assert all(now <= before for now, before in zip(made, ALONE_AT_4[identity]))
 
 # --- injected faults ---------------------------------------------------------------
-# Each test breaks one map where the checker looks it up and asserts that the
-# identity built on that map fails with a witness.
+# Each test breaks one map's row body where the checker looks it up and
+# asserts that the identity built on that map fails with its detail and a
+# witness matrix.  A body takes the rows of a member and returns rows, or
+# (rows, flag) for a signed matrix.
 
-_chain = enumeration.selfdual_to_signed_rm
+_chain = enumeration._chain
 
 
-def _flipped_chain(m, want_trace=False):
-    signed = _chain(m)
-    return SignedRowFishburn(signed.matrix, 1 - signed.flag)
+def _flipped_chain(rows):
+    image, flag = _chain(rows)
+    return image, 1 - flag
 
 
 @pytest.mark.parametrize("identity", ["eq1", "eq2"])
 def test_flipped_chain_flag_fails_slice_identity(monkeypatch, identity):
-    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm", _flipped_chain)
+    monkeypatch.setattr(enumeration, "_chain", _flipped_chain)
     report = verify_identity(identity, 3)
     assert report.passed is False
+    slice_name = "positive-sum" if identity == "eq2" else "zero-sum"
+    assert report.detail == ("image escapes the target set under the map chain "
+                             f"on the {slice_name} slice")
     # eq1 slices the zero diagonal-cell sums, eq2 the positive ones
     first = next(m for m in enumerate_family(FamilyTag.SELF_DUAL, 3)
                  if (stats(m).diag_sum >= 1) == (identity == "eq2"))
@@ -554,19 +559,20 @@ def test_flipped_chain_flag_fails_slice_identity(monkeypatch, identity):
 
 def test_flipped_chain_flag_still_passes_eq3(monkeypatch):
     # a global flag flip is a bijection onto rm x {0, 1}
-    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm", _flipped_chain)
+    monkeypatch.setattr(enumeration, "_chain", _flipped_chain)
     assert verify_identity("eq3", 3).passed
 
 
 def test_merging_chain_fails_eq3(monkeypatch):
     members = enumerate_family(FamilyTag.SELF_DUAL, 3)
 
-    def merging(m, want_trace=False):
-        return _chain(members[0] if m == members[1] else m)
+    def merging(rows):
+        return _chain(members[0].rows if rows == members[1].rows else rows)
 
-    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm", merging)
+    monkeypatch.setattr(enumeration, "_chain", merging)
     report = verify_identity("eq3", 3)
     assert report.passed is False
+    assert report.detail == "two members share an image under the full map chain"
     assert report.counterexample == members[1]
 
 
@@ -577,35 +583,39 @@ def test_swapping_chain_fails_eq2_transport(monkeypatch):
     first = positive[0]
     other = next(m for m in positive
                  if stats(m).first_row_sum != stats(first).first_row_sum)
-    swap = {first: other, other: first}
+    swap = {first.rows: other.rows, other.rows: first.rows}
 
-    def swapping(m, want_trace=False):
-        return _chain(swap.get(m, m))
+    def swapping(rows):
+        return _chain(swap.get(rows, rows))
 
-    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm", swapping)
+    monkeypatch.setattr(enumeration, "_chain", swapping)
     report = verify_identity("eq2", 3)
     assert report.passed is False
+    assert report.detail == ("statistics not transported under the map chain "
+                             "on the positive-sum slice")
     assert report.counterexample == first
 
 
 def test_flag_blind_embedding_fails_eq4(monkeypatch):
-    embed = enumeration.embed_rm_in_b
-    monkeypatch.setattr(enumeration, "embed_rm_in_b", lambda a, flag: embed(a, 0))
+    embed = enumeration._embed
+    monkeypatch.setattr(enumeration, "_embed", lambda rows, flag: embed(rows, 0))
     report = verify_identity("eq4", 3)
     assert report.passed is False
+    assert report.detail == "two members share an image under the embedding"
     assert report.counterexample == enumerate_family(FamilyTag.RM, 3)[0]
 
 
 def test_flag_flipping_projection_fails_eq4(monkeypatch):
-    project = enumeration.project_b_to_signed_rm
+    project = enumeration._project
 
-    def flipped(m):
-        signed = project(m)
-        return SignedRowFishburn(signed.matrix, 1 - signed.flag)
+    def flipped(rows):
+        image, flag = project(rows)
+        return image, 1 - flag
 
-    monkeypatch.setattr(enumeration, "project_b_to_signed_rm", flipped)
+    monkeypatch.setattr(enumeration, "_project", flipped)
     report = verify_identity("eq4", 3)
     assert report.passed is False
+    assert report.detail == "inverse map does not undo the embedding"
     assert report.counterexample == enumerate_family(FamilyTag.RM, 3)[0]
 
 
@@ -643,10 +653,11 @@ def test_constant_parity_embedding_fails_eq8(monkeypatch):
     # the constant image carries a first-row sum the first even member lacks
     even = [m for m in enumerate_family(FamilyTag.SELF_DUAL, 3) if m.dim % 2 == 0]
     other = next(m for m in even if m.row_sum(1) != even[0].row_sum(1))
-    image = enumeration.em_to_sm(other)
-    monkeypatch.setattr(enumeration, "em_to_sm", lambda m: image)
+    image = enumeration._embed_even(other.rows)
+    monkeypatch.setattr(enumeration, "_embed_even", lambda rows: image)
     report = verify_identity("eq8", 3)
     assert report.passed is False
+    assert report.detail == "statistics not transported under the parity embedding"
     assert report.counterexample == even[0]
 
 
@@ -657,17 +668,18 @@ def test_swapping_relocation_fails_eq8_transport(monkeypatch):
                    if stats(s).center_col_sum == 0]
     first = zero_center[0]
     other = next(s for s in zero_center if s.row_sum(1) != first.row_sum(1))
-    swap = {first: other, other: first}
-    relocate = enumeration.beta
-    monkeypatch.setattr(enumeration, "beta", lambda s: relocate(swap.get(s, s)))
+    swap = {first.rows: other.rows, other.rows: first.rows}
+    relocate = enumeration._beta
+    monkeypatch.setattr(enumeration, "_beta", lambda rows: relocate(swap.get(rows, rows)))
     report = verify_identity("eq8", 3)
     assert report.passed is False
-    assert "column relocation" in report.detail
+    assert report.detail == ("statistics not transported under column relocation "
+                             "on the zero-center slice")
     assert report.counterexample == first
 
 
 def test_flipped_chain_in_one_pass_matches_single_checks(monkeypatch):
-    monkeypatch.setattr(enumeration, "selfdual_to_signed_rm", _flipped_chain)
+    monkeypatch.setattr(enumeration, "_chain", _flipped_chain)
     reports = verify_identities(("eq1", "eq2", "eq3"), 3)
     assert [report.passed for report in reports] == [False, False, True]
     assert reports == [verify_identity(identity, 3) for identity in ("eq1", "eq2", "eq3")]

@@ -55,6 +55,18 @@ def test_poset_validates_bounds_and_irreflexivity():
         Poset(2, frozenset({(1, 1)}))
 
 
+def test_poset_rejects_non_integer_elements():
+    # True equals 1 and 2.0 equals 2, yet neither is an element
+    for pair in ((True, 2), (1, 2.0)):
+        with pytest.raises(ValueError) as caught:
+            Poset(2, frozenset({pair}))
+        assert str(caught.value) == f"pair ({pair[0]}, {pair[1]}) outside elements 1..2"
+    for n in (2.5, 2.0, True):
+        with pytest.raises(ValueError) as caught:
+            Poset(n, frozenset())
+        assert str(caught.value) == f"the element count must be an integer, not {n!r}"
+
+
 def test_poset_validates_transitivity():
     with pytest.raises(ValueError, match="not transitive"):
         Poset(3, frozenset({(1, 2), (2, 3)}))
