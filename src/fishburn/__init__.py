@@ -1,5 +1,10 @@
 """Triangular-matrix families, the bijections between them, exhaustive
-enumeration with refined counts, and the interval-order encoding."""
+enumeration with refined counts, and the interval-order encoding.
+
+The interval-order names come from ``fishburn.posets``, which is imported
+on first use of one of them, so the matrix commands never load it.  They
+are looked up there on every access and never copied into this module.
+"""
 
 from .bijections import (
     BijectionTrace,
@@ -51,22 +56,6 @@ from .matrices import (
     reduce,
     reduced_size,
     stats,
-)
-from .posets import (
-    LevelDecomposition,
-    NotIntervalOrder,
-    NotSelfDualMatrix,
-    Poset,
-    canonical_form,
-    dual_poset,
-    fishburn_to_poset,
-    format_poset,
-    is_interval_order,
-    is_self_dual_poset,
-    level_decomposition,
-    parse_poset,
-    poset_to_fishburn,
-    reduced_size_of_interval_order,
 )
 
 __all__ = [
@@ -130,3 +119,32 @@ __all__ = [
     "stats",
     "verify_identity",
 ]
+
+_POSET_NAMES = frozenset({
+    "LevelDecomposition",
+    "NotIntervalOrder",
+    "NotSelfDualMatrix",
+    "Poset",
+    "canonical_form",
+    "dual_poset",
+    "fishburn_to_poset",
+    "format_poset",
+    "is_interval_order",
+    "is_self_dual_poset",
+    "level_decomposition",
+    "parse_poset",
+    "poset_to_fishburn",
+    "reduced_size_of_interval_order",
+})
+
+
+def __getattr__(name):
+    if name in _POSET_NAMES:
+        from . import posets
+
+        return getattr(posets, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _POSET_NAMES)

@@ -34,8 +34,6 @@ output last.  Traces are value copies, never views, and are built only
 when requested.
 """
 
-from dataclasses import dataclass
-
 from .matrices import (
     DegenerateMatrix,
     MatrixConditionError,
@@ -48,6 +46,7 @@ from .matrices import (
     TriMatrix,
     _dual_rows,
     _expand,
+    _Record,
     _reduce,
     b_violation,
     expand,
@@ -61,11 +60,10 @@ from .matrices import (
 # --- trace plumbing ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BijectionTrace:
+class BijectionTrace(_Record):
     """Labeled snapshots of one map application, input first, output last."""
 
-    steps: tuple
+    __slots__ = ("steps",)
 
 
 def _require_bit(value, name):
@@ -74,16 +72,14 @@ def _require_bit(value, name):
         raise ValueError(f"{name} must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class SignedRowFishburn:
+class SignedRowFishburn(_Record):
     """A matrix with every row nonzero plus one bit.
 
     The bit records whether the preimage in the rows-after-the-first family
     had a zero first row; it is the factor 2 in the doubling identities.
     """
 
-    matrix: TriMatrix
-    flag: int
+    __slots__ = ("matrix", "flag")
 
     def __post_init__(self):
         _require_bit(self.flag, "flag")

@@ -17,7 +17,6 @@ files, malformed matrix text).
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from .bijections import alpha, alpha_inv, beta, beta_inv, selfdual_to_signed_rm
 from .enumeration import (
@@ -32,6 +31,7 @@ from .matrices import (
     MatrixConditionError,
     ParseError,
     _is_uint,
+    _Record,
     format_matrix,
     parse_matrix,
     stats,
@@ -40,14 +40,12 @@ from .matrices import (
 # --- run outcome ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(_Record):
     """Outcome of one subcommand: the exact standard-output payload and the
     (label, seconds) timings."""
 
-    passed: bool
-    output: str
-    timings: tuple = ()
+    __slots__ = ("passed", "output", "timings")
+    _defaults = {"timings": ()}
 
 
 # --- subcommand bodies -----------------------------------------------------------

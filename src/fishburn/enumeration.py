@@ -39,11 +39,7 @@ one size share one pass, which builds each family's statistics and each
 chain image once.
 """
 
-import csv
-import io
-import json
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
 
@@ -52,6 +48,7 @@ from .matrices import (
     Parity,
     TriMatrix,
     _expand,
+    _Record,
     b_violation,
     fishburn_violation,
     reduced_size,
@@ -301,20 +298,21 @@ def refinement_key(family, m):
             sum(rows[i - 1][j - 1] for i, j in p), parity)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(_Record):
     """Refined counts for one family at one size."""
 
-    family: FamilyTag
-    n: int
-    cells: dict
-    total: int
+    __slots__ = ("family", "n", "cells", "total")
 
     def sorted_cells(self):
         return sorted(self.cells.items(),
                       key=lambda kv: (kv[0][0], kv[0][1], _PARITY_ORDER[kv[0][2]]))
 
+    # the serializers are imported by the method that prints with them,
+    # so a run that prints no table, or the other format, never loads them
     def to_csv(self):
+        import csv
+        import io
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["family", "n", "k", "p", "parity", "count"])
@@ -323,6 +321,8 @@ class CountTable:
         return out.getvalue()
 
     def to_json(self):
+        import json
+
         doc = {
             "family": self.family.value,
             "n": self.n,
@@ -382,28 +382,20 @@ def count_refined(family, n):
 IDENTITIES = ("eq1", "eq2", "eq3", "eq4", "eq8")
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: str
-    n: int
-    passed: bool
-    detail: str
-    counterexample: TriMatrix = None
+class IdentityReport(_Record):
+    __slots__ = ("identity", "n", "passed", "detail", "counterexample")
+    _defaults = {"counterexample": None}
 
 
-@dataclass(frozen=True)
-class _Leg:
+class _Leg(_Record):
     """One transport leg over row tuples: ``apply`` must send the
     ``sources`` (member, key) pairs one-to-one onto the ``targets`` table
     (target -> key), each image carrying its source's key; ``inverse``, when
     given, must send every image back to its source.  A member is its rows,
     or the pair (rows, flag) of a signed matrix."""
 
-    name: str
-    sources: list
-    apply: object
-    targets: dict
-    inverse: object = None
+    __slots__ = ("name", "sources", "apply", "targets", "inverse")
+    _defaults = {"inverse": None}
 
 
 def _matrix(member):

@@ -13,9 +13,12 @@ a matrix mirrors entries across that anti-diagonal; a matrix equal to its
 dual is self-dual.  For a self-dual matrix the SE half is redundant, and
 ``reduce``/``expand`` move between the full matrix and the half with the SE
 cells zeroed out.
+
+The matrix and every other value type of the package (statistics, traces,
+signed matrices, posets, count tables, reports) are ``_Record`` classes:
+frozen, slotted records that cost nothing to define at import time.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 # --- exceptions ------------------------------------------------------------
@@ -81,11 +84,86 @@ class Parity(Enum):
     ANY = "any"
 
 
+class _Record:
+    """Frozen, slotted value record.
+
+    A subclass lists its fields in order as ``__slots__`` and the defaults
+    of trailing fields in ``_defaults``.  It is built from its fields by
+    position or keyword, after which ``__post_init__``, looked up on the
+    class, may validate them.  Values of one class compare and hash by
+    their fields and never equal a value of another class; the repr is
+    ``Name(field=value, ...)``; assigning or deleting a field raises
+    AttributeError; copy and pickle rebuild a value through its
+    constructor.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._arguments(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _arguments(cls, args, kwargs):
+        """The field values, in field order, of a call with keywords or
+        with fields left to their defaults."""
+        name = cls.__qualname__
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{name}() takes {len(names)} positional arguments "
+                            f"but {len(args)} were given")
+        for key in kwargs:
+            if key not in names:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if names.index(key) < len(args):
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        values = list(args)
+        for key in names[len(args):]:
+            if key in kwargs:
+                values.append(kwargs[key])
+            elif key in cls._defaults:
+                values.append(cls._defaults[key])
+            else:
+                raise TypeError(f"{name}() missing required argument: {key!r}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 _PLAIN_INT = {int}
 
 
-@dataclass(frozen=True)
-class TriMatrix:
+class TriMatrix(_Record):
     """Immutable upper-triangular matrix of nonnegative integers.
 
     ``rows`` stores every full row, top row first, so ``rows[i - 1][j - 1]``
@@ -99,16 +177,34 @@ class TriMatrix:
     from already valid matrices, the generators' members, the images of
     ``dual``, ``reduce``, ``expand`` and the maps, and the encoding
     ``poset_to_fishburn``, are built by ``_trusted``, which skips that check.
+
+    The constructor, ``__eq__`` and ``__hash__`` are written out for the
+    one field rather than taken from ``_Record``, as parsing and the maps
+    call them once per matrix.
     """
 
-    rows: tuple
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        _set_rows(self, rows)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        # the hash of the one-field tuple, as before the records, so sets
+        # and dicts of matrices keep their iteration order
+        return hash((self.rows,))
 
     @classmethod
     def _trusted(cls, rows):
         """A matrix over ``rows`` without validation, for rows the caller
         built to satisfy every condition ``__post_init__`` checks."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
+        _set_rows(m, rows)
         return m
 
     def __post_init__(self):
@@ -162,8 +258,11 @@ class TriMatrix:
         return sum(row[j - 1] for row in self.rows)
 
 
-@dataclass(frozen=True)
-class StatVector:
+# stores the field of a new matrix past the frozen ``__setattr__``
+_set_rows = TriMatrix.rows.__set__
+
+
+class StatVector(_Record):
     """Per-matrix statistics used by the refined counts.
 
     ``reduced_size`` is the sum over NW and diagonal cells; it is the size
@@ -172,14 +271,8 @@ class StatVector:
     exists; ``dim_parity`` records which case applies.
     """
 
-    size: int
-    reduced_size: int
-    first_row_sum: int
-    diag_sum: int
-    center_col_sum: int
-    last_col_sum: int
-    dim: int
-    dim_parity: Parity
+    __slots__ = ("size", "reduced_size", "first_row_sum", "diag_sum",
+                 "center_col_sum", "last_col_sum", "dim", "dim_parity")
 
 
 # --- cell classes ----------------------------------------------------------
@@ -395,15 +488,16 @@ def _dim_parity(rows):
 def stats(m):
     """All per-matrix statistics in one bundle."""
     rows = m.rows
+    # by position, in field order, which builds the record fastest
     return StatVector(
-        size=m.size(),
-        reduced_size=_nw_diag_sum(rows),
-        first_row_sum=_first_row_sum(rows),
-        diag_sum=_diag_sum(rows),
-        center_col_sum=_center_col_sum(rows),
-        last_col_sum=_last_col_sum(rows),
-        dim=len(rows),
-        dim_parity=_dim_parity(rows),
+        m.size(),
+        _nw_diag_sum(rows),
+        _first_row_sum(rows),
+        _diag_sum(rows),
+        _center_col_sum(rows),
+        _last_col_sum(rows),
+        len(rows),
+        _dim_parity(rows),
     )
 
 

@@ -29,7 +29,6 @@ the elements above any up-level in one suffix of the labels.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .matrices import (
     NotFishburn,
@@ -37,6 +36,7 @@ from .matrices import (
     ParseError,
     TriMatrix,
     _is_uint,
+    _Record,
     fishburn_violation,
     reduced_size,
     require,
@@ -61,8 +61,7 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(_Record):
     """Strict partial order on elements 1..n_elements.
 
     ``relation`` holds the full set of ordered pairs (x, y) with x below y.
@@ -73,8 +72,7 @@ class Poset:
     which skips that check.
     """
 
-    n_elements: int
-    relation: frozenset
+    __slots__ = ("n_elements", "relation")
 
     @classmethod
     def _trusted(cls, n_elements, relation):
@@ -120,8 +118,7 @@ class Poset:
                          if (x, z) in self.relation)
 
 
-@dataclass(frozen=True)
-class LevelDecomposition:
+class LevelDecomposition(_Record):
     """Magnitude plus per-element chain indices.
 
     ``level[x]`` and ``up_level[x]`` are dicts keyed by element; levels
@@ -129,9 +126,7 @@ class LevelDecomposition:
     decreasing chain of distinct up-sets, both 1-based and of equal length.
     """
 
-    magnitude: int
-    level: dict
-    up_level: dict
+    __slots__ = ("magnitude", "level", "up_level")
 
 
 # --- interval-order structure ----------------------------------------------------

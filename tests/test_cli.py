@@ -2,6 +2,7 @@
 stability, driven through main() plus one real interpreter run."""
 
 import io
+import os
 import pathlib
 import re
 import subprocess
@@ -305,3 +306,38 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, check=False)
     assert result.returncode == 0
     assert result.stdout == format_matrix(S5)
+
+
+def test_cold_import_loads_only_what_commands_run():
+    # a fresh interpreter importing the command line compiles and runs no
+    # more than the matrix commands need: no dataclass machinery, no
+    # serializers before a table is printed, no poset layer
+    src = pathlib.Path(__file__).parents[1] / "src"
+    probe = ("import sys, fishburn.cli; print(' '.join(sorted(name for name in ("
+             "'dataclasses', 'inspect', 'json', 'csv', 'fishburn.posets') "
+             "if name in sys.modules)))")
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
+
+
+def test_poset_names_resolve_on_first_use():
+    import fishburn
+    from fishburn import posets
+
+    from fishburn import Poset
+    assert Poset is posets.Poset
+    assert fishburn.canonical_form is posets.canonical_form
+    namespace = {}
+    exec("from fishburn import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(fishburn.__all__)
+    assert all(namespace[name] is getattr(fishburn, name) for name in fishburn.__all__)
+    assert len(fishburn.__all__) == 59
+    assert set(fishburn.__all__) <= set(dir(fishburn))
+    # looked up on every access, so rebinding a poset function is seen
+    assert "canonical_form" not in vars(fishburn)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fishburn.no_such_name
