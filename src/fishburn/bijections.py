@@ -15,17 +15,24 @@ one center swap, and ``beta`` and ``beta_inv`` lay lines out by one
 placement rule, ``_relocation``, which ``beta_inv`` reads back from the
 dual in one scan.
 
-Each map that the identity checker transports members through has one
-unchecked body on row tuples: ``_fold`` (``alpha``), ``_beta``,
-``_project``, ``_embed`` (``embed_rm_in_b``), ``_embed_even``
-(``em_to_sm``) and their composition ``_chain``; a body takes the rows of
-a member and returns rows, or (rows, flag) for a signed matrix.  The
-public map checks its input once, at entry, and wraps what the body
-returns in ``TriMatrix._trusted``, which skips the per-cell check of the
-public constructor.  The checker calls the bodies on the rows of members
-it generated, so it runs no entry check and hashes plain tuples.
-``alpha_inv`` keeps the checked ``expand``, which is what rejects the
-1 x 1 zero matrix.
+Each map has one unchecked body on row tuples, which takes the rows of a
+member and returns rows, or (rows, flag) for a signed matrix: ``_fold``
+(``alpha``), ``_relocate`` of the ``_moved`` columns (``beta``),
+``_project``, ``_embed`` (``embed_rm_in_b``) and ``_pad_center``
+(``em_to_sm``).  The public map checks its input once, at entry, and
+wraps what the body returns in ``TriMatrix._trusted``, which skips the
+per-cell check of the public constructor.  ``alpha_inv`` keeps the
+checked ``expand``, which is what rejects the 1 x 1 zero matrix.
+
+The identity checker calls ``_chain`` (the whole chain), ``_beta``,
+``_project``, ``_embed`` and ``_embed_even`` on the rows of members it
+generated, so it runs no entry check and hashes plain tuples.  Besides
+``_project`` and ``_embed``, these apply the bodies through
+``matrices._gather``: the cells a body moves depend only on the dimension
+and on which columns ``beta`` moves, so each shape's layout is derived
+once, by running the body, and then read by one getter per row.  The
+public maps run their bodies directly, since single calls seldom repeat
+a shape soon enough to pay for its layout.
 
 ``alpha``, ``alpha_inv``, ``beta``, ``beta_inv`` and the chain
 ``selfdual_to_signed_rm`` can optionally record a trace: a sequence of
@@ -45,7 +52,10 @@ from .matrices import (
     OddDimension,
     TriMatrix,
     _dual_rows,
-    _expand,
+    _expand_rows,
+    _flat,
+    _gather,
+    _place,
     _Record,
     _reduce,
     b_violation,
@@ -144,7 +154,7 @@ def _fold(rows):
     # ``alpha`` on the rows of a self-dual matrix with nonzero rows and
     # columns; at an even dimension the reduced rows are padded as
     # ``em_to_sm`` pads them
-    return _swap_center(_embed_even(rows) if len(rows) % 2 == 0 else _reduce(rows))
+    return _swap_center(_pad_center(rows) if len(rows) % 2 == 0 else _reduce(rows))
 
 
 def alpha_inv(s, want_trace=False):
@@ -200,10 +210,10 @@ def beta(a, want_trace=False):
     require(sm_violation, NotSMMember, a)
     if a.size() == 0:
         raise DegenerateMatrix("the all-zero matrix has no image")
-    out = TriMatrix._trusted(_beta(a.rows))
+    moved = _moved(a.rows)
+    block = _block(a.rows, moved)
+    out = TriMatrix._trusted(_dual_rows(block))
     if want_trace:
-        moved = _moved(a.rows)
-        block = _block(a.rows, moved)
         steps = [("A(0)", a)]
         steps += ((f"A({t})", x) for t, x in enumerate(_relocation_steps(a.rows, moved), 1))
         if len(block) > 1:
@@ -236,11 +246,19 @@ def _lay_out(rows, lines):
                  for r, _ in lines)
 
 
+def _right_columns(rows):
+    # the columns right of center, innermost first
+    return tuple(zip(*rows))[len(rows) // 2 + 1:]
+
+
+def _nonzero_offsets(columns):
+    # the offsets of the nonzero ones of ``_right_columns``, largest first
+    return tuple(i for i in range(len(columns), 0, -1) if any(columns[i - 1]))
+
+
 def _moved(rows):
     # the offsets right of center of the nonzero columns, largest first
-    r = (len(rows) - 1) // 2
-    columns = tuple(zip(*rows))
-    return [i for i in range(r, 0, -1) if any(columns[r + i])]
+    return _nonzero_offsets(_right_columns(rows))
 
 
 def _block(rows, moved):
@@ -249,9 +267,15 @@ def _block(rows, moved):
     return _lay_out(rows, _relocation(len(rows), moved)[:r + 1 + len(moved)])
 
 
+def _relocate(rows, moved):
+    # ``beta`` on rows whose nonzero columns right of center lie at the
+    # offsets ``moved``
+    return _dual_rows(_block(rows, moved))
+
+
 def _beta(rows):
-    # ``beta`` on the rows of an sm member of positive size
-    return _dual_rows(_block(rows, _moved(rows)))
+    # ``beta`` on the rows of an sm member of positive size, compiled
+    return _place(_gather(_relocate, len(rows), _moved(rows)), _flat(rows))
 
 
 def _relocation_steps(rows, moved):
@@ -341,7 +365,7 @@ def selfdual_to_signed_rm(m, want_trace=False):
     Only ``alpha`` checks: its image is an ``sm`` member of positive size,
     and the image of that under ``beta`` a ``b`` member."""
     s = alpha(m)
-    b_rows = _beta(s.rows)
+    b_rows = _relocate(s.rows, _moved(s.rows))
     signed = _signed(_project(b_rows))
     if want_trace:
         steps = (("A(0)", m), ("alpha", s), ("beta", TriMatrix._trusted(b_rows)),
@@ -352,8 +376,25 @@ def selfdual_to_signed_rm(m, want_trace=False):
 
 def _chain(rows):
     # ``selfdual_to_signed_rm`` on the rows of a self-dual matrix with
-    # nonzero rows and columns, as (rows, flag)
-    return _project(_beta(_fold(rows)))
+    # nonzero rows and columns, as (rows, flag), compiled: the moved
+    # columns are read from the cells the fold puts right of center, and
+    # the fold and relocation run as one layout
+    d = len(rows)
+    flat = _flat(rows)
+    return _project(_place(_gather(_fold_relocate, d, _fold_moved(d, flat)), flat))
+
+
+def _fold_moved(d, flat):
+    # ``_moved(_fold(rows))`` for the dimension-d rows of ``flat``
+    return _nonzero_offsets(_place(_gather(_fold_columns, d), flat))
+
+
+def _fold_columns(rows):
+    return _right_columns(_fold(rows))
+
+
+def _fold_relocate(rows, moved):
+    return _relocate(_fold(rows), moved)
 
 
 # --- parity embedding --------------------------------------------------------
@@ -369,13 +410,18 @@ def em_to_sm(m):
     if m.dim % 2:
         raise OddDimension(f"dimension {m.dim} is odd, expected even")
     require(fishburn_violation, NotFishburn, m)
-    return TriMatrix._trusted(_embed_even(m.rows))
+    return TriMatrix._trusted(_pad_center(m.rows))
 
 
-def _embed_even(rows):
+def _pad_center(rows):
     # ``em_to_sm`` on the rows of an even-dimension self-dual matrix with
     # nonzero rows and columns
     return _insert_zero_line(_reduce(rows), len(rows) // 2)
+
+
+def _embed_even(rows):
+    # ``_pad_center``, compiled
+    return _place(_gather(_pad_center, len(rows)), _flat(rows))
 
 
 def sm_to_em(s):
@@ -389,4 +435,4 @@ def sm_to_em(s):
     if any(row[k] for row in s.rows) or any(s.rows[k]):
         raise MatrixConditionError(
             f"column {k + 1} or row {k + 1} nonzero, not in the embedding image")
-    return _expand(TriMatrix._trusted(_drop_line(s.rows, k)))
+    return TriMatrix._trusted(_expand_rows(_drop_line(s.rows, k)))

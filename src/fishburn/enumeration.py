@@ -47,7 +47,9 @@ from .bijections import _beta, _chain, _embed, _embed_even, _project
 from .matrices import (
     Parity,
     TriMatrix,
-    _expand,
+    _expand_rows,
+    _getters,
+    _place,
     _Record,
     b_violation,
     fishburn_violation,
@@ -204,22 +206,21 @@ def _fill_assignments(total, lines, plan):
             untried.pop()
 
 
-def _builder(d, cells):
+def _builder(d, cells, mirrored):
     """The map from a value tuple over ``cells`` to the dimension-d matrix
-    holding those values there and zeros elsewhere.  In both cell lists each
-    row's cells are one run that starts on the main diagonal, so every row
-    is zeros, a slice of the values, then zeros."""
-    runs = []
-    t = 0
-    for i in range(1, d + 1):
-        width = sum(1 for r, _ in cells if r == i)
-        runs.append(((0,) * (i - 1), t, t + width, (0,) * (d + 1 - i - width)))
-        t += width
-
+    holding those values there and zeros elsewhere, with the NW cells
+    mirrored into SE when ``mirrored``.  Its layout holds, per cell, the
+    position of its value after a padding 0 (``matrices._gather``'s
+    convention), mirrored by the body of ``expand``; a member is then one
+    getter per row over its values."""
+    position = {cell: t for t, cell in enumerate(cells, start=1)}
+    layout = tuple(tuple(position.get((i, j), 0) for j in range(1, d + 1))
+                   for i in range(1, d + 1))
+    getters = _getters(_expand_rows(layout) if mirrored else layout)
     trusted = TriMatrix._trusted
 
     def build(values):
-        return trusted(tuple(left + values[a:b] + right for left, a, b, right in runs))
+        return trusted(_place(getters, (0, *values)))
 
     return build
 
@@ -253,12 +254,13 @@ def _plan(family, n):
 
 
 def _walk(family, n):
-    """The members ``enumerate_family`` lists, one at a time.  Expanding a
-    ``self_dual`` half fills only SE cells whose mirrors sit in earlier
-    rows, so it keeps row-major order."""
+    """The members ``enumerate_family`` lists, one at a time.  A
+    ``self_dual`` member is built mirrored from its half, which fills only
+    SE cells whose mirrors sit in earlier rows, so it keeps row-major
+    order."""
+    mirrored = family is FamilyTag.SELF_DUAL
     for d, cells, lines in _plan(family, n):
-        members = map(_builder(d, cells), _fill_assignments(n, *lines))
-        yield from map(_expand, members) if family is FamilyTag.SELF_DUAL else members
+        yield from map(_builder(d, cells, mirrored), _fill_assignments(n, *lines))
 
 
 @lru_cache(maxsize=None)

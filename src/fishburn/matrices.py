@@ -17,9 +17,17 @@ cells zeroed out.
 The matrix and every other value type of the package (statistics, traces,
 signed matrices, posets, count tables, reports) are ``_Record`` classes:
 frozen, slotted records that cost nothing to define at import time.
+
+A private body that only places cells and inserts zeros, whatever their
+values, can be compiled by ``_gather`` into one cached getter per output
+row, which the verify pass and the generator walk apply to many matrices
+of one shape.
 """
 
 from enum import Enum
+from functools import cache
+from itertools import chain
+from operator import itemgetter
 
 # --- exceptions ------------------------------------------------------------
 
@@ -274,6 +282,25 @@ class StatVector(_Record):
     __slots__ = ("size", "reduced_size", "first_row_sum", "diag_sum",
                  "center_col_sum", "last_col_sum", "dim", "dim_parity")
 
+    # written out, as the verify pass builds one per member
+    def __init__(self, size, reduced_size, first_row_sum, diag_sum,
+                 center_col_sum, last_col_sum, dim, dim_parity):
+        _set_size(self, size)
+        _set_reduced_size(self, reduced_size)
+        _set_first_row_sum(self, first_row_sum)
+        _set_diag_sum(self, diag_sum)
+        _set_center_col_sum(self, center_col_sum)
+        _set_last_col_sum(self, last_col_sum)
+        _set_dim(self, dim)
+        _set_dim_parity(self, dim_parity)
+        self.__post_init__()
+
+
+# store the fields of a new statistics record past the frozen ``__setattr__``
+(_set_size, _set_reduced_size, _set_first_row_sum, _set_diag_sum, _set_center_col_sum,
+ _set_last_col_sum, _set_dim, _set_dim_parity) = (
+    getattr(StatVector, name).__set__ for name in StatVector.__slots__)
+
 
 # --- cell classes ----------------------------------------------------------
 
@@ -412,7 +439,7 @@ def reduced_size(m):
     """Sum over NW and diagonal cells.  Rejects non-self-dual input, where
     the quantity would depend on which half of the matrix is kept."""
     require(selfdual_violation, NotSelfDual, m)
-    return _nw_diag_sum(m.rows)
+    return sum(_nw_diag_cells(m.rows))
 
 
 def reduce(m):
@@ -435,70 +462,102 @@ def expand(m):
     (m + 1 - j, m + 1 - i)."""
     require(super_triangular_violation, NotSuperTriangular, m)
     require(expandable_violation, NotExpandable, m)
-    return _expand(m)
+    return TriMatrix._trusted(_expand_rows(m.rows))
 
 
-def _expand(m):
+def _expand_rows(rows):
     # row i keeps its first m + 1 - i cells, and the rest mirror column
     # m + 1 - i read upward from row i - 1 (a cell below the main diagonal
     # mirrors one below it, so both hold 0)
-    rows = m.rows
     d = len(rows)
     columns = tuple(zip(*rows))
-    return TriMatrix._trusted(tuple(
-        row[:d - r] + columns[d - 1 - r][:r][::-1] for r, row in enumerate(rows)))
+    return tuple(row[:d - r] + columns[d - 1 - r][:r][::-1] for r, row in enumerate(rows))
+
+
+# --- compiled layouts --------------------------------------------------------
+# A getter reads a matrix through ``_flat``: a padding zero at index 0, then
+# the cells in row-major order, cell (i, j) (0-based) at 1 + i*d + j.
+
+
+def _flat(rows):
+    return (0, *chain.from_iterable(rows))
+
+
+def _index(d):
+    # the dimension-d matrix of the flat indices of its cells, the pad 0
+    # below the main diagonal, where every matrix of the package holds 0
+    return tuple((0,) * i + tuple(range(1 + i * d + i, 1 + (i + 1) * d))
+                 for i in range(d))
+
+
+def _getters(layout):
+    # one getter per row of flat indices, each returning a tuple: a row of
+    # one cell or none is read as a slice, since ``itemgetter`` of one
+    # index returns the bare cell
+    return tuple(itemgetter(*row) if len(row) > 1
+                 else itemgetter(slice(row[0], row[0] + 1) if row else slice(0))
+                 for row in layout)
+
+
+@cache
+def _gather(body, d, *shape):
+    """The row getters of ``body(rows, *shape)`` on dimension-d rows, for a
+    body that moves cells and inserts literal zeros whatever the values
+    are.  The body runs once, on ``_index(d)``, so each cell of its image
+    holds the flat index it reads, and each inserted 0 reads the pad; on
+    upper-triangular rows, ``_place(_gather(body, d, *shape), _flat(rows))``
+    then equals ``body(rows, *shape)``."""
+    return _getters(body(_index(d), *shape))
+
+
+def _place(getters, flat):
+    return tuple([get(flat) for get in getters])
 
 
 # --- statistics ------------------------------------------------------------
-# One helper per statistic, each over the row tuples of a matrix; the
-# refinement keys sum the same cells, as ``enumeration._key_cells`` lists.
+# A summed statistic is defined by the cells it sums: one helper per
+# statistic lists them from the row tuples of a matrix, and ``stats`` reads
+# the same cells through ``_gather``.  The refinement keys sum the same
+# cells, as ``enumeration._key_cells`` lists.
 
 
-def _nw_diag_sum(rows):
-    """Sum over the cells (i, j) with i + j <= m + 1."""
+def _nw_diag_cells(rows):
+    """The cells (i, j) with i + j <= m + 1."""
     d = len(rows)
-    return sum(sum(row[:d - i]) for i, row in enumerate(rows))
+    return tuple(chain.from_iterable(row[:d - i] for i, row in enumerate(rows)))
 
 
-def _first_row_sum(rows):
-    return sum(rows[0])
-
-
-def _diag_sum(rows):
-    """Sum over the diagonal cells (i, m + 1 - i) on or above the main
-    diagonal."""
+def _diag_cells(rows):
+    """The diagonal cells (i, m + 1 - i) on or above the main diagonal."""
     d = len(rows)
-    return sum(rows[i][d - 1 - i] for i in range((d + 1) // 2))
+    return tuple(rows[i][d - 1 - i] for i in range((d + 1) // 2))
 
 
-def _center_col_sum(rows):
-    """Sum of the center column, 0 for an even dimension."""
+def _center_cells(rows):
+    """The center column, none for an even dimension."""
     d = len(rows)
-    return sum(row[d // 2] for row in rows) if d % 2 else 0
+    return tuple(row[d // 2] for row in rows) if d % 2 else ()
 
 
-def _last_col_sum(rows):
-    return sum(row[-1] for row in rows)
+def _last_col_cells(rows):
+    return tuple(row[-1] for row in rows)
 
 
-def _dim_parity(rows):
-    return Parity.ODD if len(rows) % 2 else Parity.EVEN
+def _stat_cells(rows):
+    # the cells whose sums ``stats`` reports, in its field order
+    return (_nw_diag_cells(rows), _diag_cells(rows), _center_cells(rows),
+            _last_col_cells(rows))
 
 
 def stats(m):
     """All per-matrix statistics in one bundle."""
     rows = m.rows
-    # by position, in field order, which builds the record fastest
-    return StatVector(
-        m.size(),
-        _nw_diag_sum(rows),
-        _first_row_sum(rows),
-        _diag_sum(rows),
-        _center_col_sum(rows),
-        _last_col_sum(rows),
-        len(rows),
-        _dim_parity(rows),
-    )
+    d = len(rows)
+    flat = _flat(rows)
+    nw_diag, diag, center, last = _gather(_stat_cells, d)
+    return StatVector(sum(flat), sum(nw_diag(flat)), sum(rows[0]), sum(diag(flat)),
+                      sum(center(flat)), sum(last(flat)), d,
+                      Parity.ODD if d % 2 else Parity.EVEN)
 
 
 # --- text format -----------------------------------------------------------

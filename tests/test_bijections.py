@@ -16,7 +16,9 @@ from fishburn import (
     NotSelfDual,
     NotSMMember,
     OddDimension,
+    Parity,
     SignedRowFishburn,
+    StatVector,
     TriMatrix,
     alpha,
     alpha_inv,
@@ -33,7 +35,7 @@ from fishburn import (
     sm_to_em,
     stats,
 )
-from fishburn import bijections
+from fishburn import bijections, matrices
 from fishburn.matrices import super_triangular_violation
 from matrix_strategies import (
     b_members,
@@ -419,8 +421,11 @@ def test_parity_embedding_exhaustive_small():
 
 
 # --- row bodies -------------------------------------------------------------
-# The verify pass calls each map's unchecked body on row tuples; a body must
-# give exactly the rows (and flag) of its public map.
+# The verify pass calls each map's unchecked body on row tuples, most of them
+# through layouts compiled per shape from the bodies the public maps run
+# directly; each must give exactly the rows (and flag) of its public map on
+# every member the pass sees, and the compiled ``stats`` the sums of its
+# cell helpers.
 
 
 def _pair(signed):
@@ -430,15 +435,18 @@ def _pair(signed):
 def test_row_bodies_match_public_maps_up_to_size_6():
     for n in range(1, 7):
         for m in enumerate_family(FamilyTag.SELF_DUAL, n):
-            assert bijections._fold(m.rows) == alpha(m).rows
+            folded = bijections._fold(m.rows)
+            assert folded == alpha(m).rows
+            # the moved columns, read from the input's cells
+            assert bijections._fold_moved(m.dim, matrices._flat(m.rows)) == (
+                bijections._moved(folded))
             assert bijections._chain(m.rows) == _pair(selfdual_to_signed_rm(m))
             if m.dim % 2 == 0:
                 assert bijections._embed_even(m.rows) == em_to_sm(m).rows
         for s in enumerate_family(FamilyTag.SM, n):
-            if stats(s).center_col_sum == 0:
-                image = beta(s)
-                assert bijections._beta(s.rows) == image.rows
-                assert bijections._project(image.rows) == _pair(project_b_to_signed_rm(image))
+            image = beta(s)
+            assert bijections._beta(s.rows) == image.rows
+            assert bijections._project(image.rows) == _pair(project_b_to_signed_rm(image))
         for a in enumerate_family(FamilyTag.RM, n):
             for flag in (0, 1):
                 image = embed_rm_in_b(a, flag)
@@ -446,3 +454,26 @@ def test_row_bodies_match_public_maps_up_to_size_6():
                 assert bijections._project(image.rows) == _pair(project_b_to_signed_rm(image))
         for b in enumerate_family(FamilyTag.B, n):
             assert bijections._project(b.rows) == _pair(project_b_to_signed_rm(b))
+
+
+def _stats_by_helpers(m):
+    rows = m.rows
+    return StatVector(m.size(), sum(matrices._nw_diag_cells(rows)), sum(rows[0]),
+                      sum(matrices._diag_cells(rows)), sum(matrices._center_cells(rows)),
+                      sum(matrices._last_col_cells(rows)), m.dim,
+                      Parity.ODD if m.dim % 2 else Parity.EVEN)
+
+
+def test_stats_match_the_cell_helpers_up_to_size_6():
+    for n in range(1, 7):
+        for family in (FamilyTag.SELF_DUAL, FamilyTag.RM, FamilyTag.SM):
+            for m in enumerate_family(family, n):
+                assert stats(m) == _stats_by_helpers(m)
+
+
+@given(sm_members(max_dim=12))
+def test_compiled_relocation_matches_beta_generated(s):
+    # members larger than the sweep's reach some (dimension, moved columns)
+    # shapes that no member at n <= 6 has
+    assert bijections._beta(s.rows) == beta(s).rows
+    assert stats(s) == _stats_by_helpers(s)

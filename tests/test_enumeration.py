@@ -33,7 +33,7 @@ from fishburn import (
     stats,
     verify_identity,
 )
-from fishburn import enumeration
+from fishburn import bijections, enumeration, matrices
 from fishburn.enumeration import verify_identities
 from oracles import fishburn_series, row_fishburn_series
 from vectors import A5, A6, B_1, M_1, RM_2_ORDER, SM_1
@@ -222,6 +222,29 @@ def test_plans_without_members_yield_nothing():
     assert enumeration._tally(1, *lines, {0}, {1}) == {(0, 1): 1}
 
 
+def _placed(d, cells, values, mirrored):
+    # the dimension-d rows holding ``values`` at ``cells``, each NW value
+    # also at its mirror cell when ``mirrored``, and zeros elsewhere
+    rows = [[0] * d for _ in range(d)]
+    for (i, j), value in zip(cells, values):
+        rows[i - 1][j - 1] = value
+        if mirrored:
+            rows[d - j][d - i] = value
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("family", list(FamilyTag), ids=lambda f: f.value)
+def test_compiled_builder_places_every_member(family):
+    # the walk builds each member through getters compiled per dimension;
+    # they must place the values as a cell-by-cell build does
+    mirrored = family is FamilyTag.SELF_DUAL
+    for n in range(1, 7):
+        for d, cells, lines in enumeration._plan(family, n):
+            build = enumeration._builder(d, cells, mirrored)
+            for values in enumeration._fill_assignments(n, *lines):
+                assert build(values).rows == _placed(d, cells, values, mirrored)
+
+
 # --- trusted construction ---------------------------------------------------------
 # Generators and maps build their matrices without the public constructor's
 # per-cell check.  These tests show that the check would accept every one of
@@ -288,8 +311,8 @@ def test_pairing_walk_builds_only_members(monkeypatch, family):
     builds = []
     builder = enumeration._builder
 
-    def counting_builder(d, cells):
-        build = builder(d, cells)
+    def counting_builder(d, cells, mirrored):
+        build = builder(d, cells, mirrored)
 
         def counted(values):
             builds.append(values)
@@ -676,6 +699,32 @@ def test_swapping_relocation_fails_eq8_transport(monkeypatch):
     assert report.detail == ("statistics not transported under column relocation "
                              "on the zero-center slice")
     assert report.counterexample == first
+
+
+def test_faulty_body_reaches_the_compiled_pass(monkeypatch):
+    # the pass's layouts are derived from the map bodies, so a fault in a
+    # body, here a placement rule that swaps the sources of two columns,
+    # fails the identity once the cached layouts are rebuilt
+    relocation = bijections._relocation
+
+    def swapped(d, moved):
+        lines = relocation(d, moved)
+        if len(lines) > 1:
+            (r0, c0), (r1, c1) = lines[:2]
+            lines[:2] = [(r0, c1), (r1, c0)]
+        return lines
+
+    matrices._gather.cache_clear()
+    monkeypatch.setattr(bijections, "_relocation", swapped)
+    try:
+        report = verify_identity("eq3", 4)
+    finally:
+        monkeypatch.undo()
+        matrices._gather.cache_clear()
+    assert report.passed is False
+    assert report.detail == "image escapes the target set under the full map chain"
+    assert report.counterexample is not None
+    assert verify_identity("eq3", 4).passed
 
 
 def test_flipped_chain_in_one_pass_matches_single_checks(monkeypatch):
