@@ -1,150 +1,100 @@
 """Triangular-matrix families, the bijections between them, exhaustive
 enumeration with refined counts, and the interval-order encoding.
 
-The interval-order names come from ``fishburn.posets``, which is imported
-on first use of one of them, so the matrix commands never load it.  They
-are looked up there on every access and never copied into this module.
+Every public name is defined in one submodule, its home in ``_EXPORTS``:
+the shared records and errors in ``records``, the matrix type, its
+conditions and statistics in ``matrices``, the maps in ``bijections``,
+the generators, counts and identity checker in ``enumeration``, and the
+interval orders in ``posets``.  Importing the package loads none of them.
+A name's home is imported on its first use, and the name is looked up
+there on every access and never copied into this module, so a run loads
+only the modules it uses.
 """
 
-from .bijections import (
-    BijectionTrace,
-    SignedRowFishburn,
-    alpha,
-    alpha_inv,
-    beta,
-    beta_inv,
-    em_to_sm,
-    embed_rm_in_b,
-    project_b_to_signed_rm,
-    selfdual_to_signed_rm,
-    sm_to_em,
-)
-from .enumeration import (
-    IDENTITIES,
-    CountTable,
-    FamilyTag,
-    IdentityReport,
-    count_refined,
-    enumerate_family,
-    family_member,
-    family_size,
-    family_violation,
-    refinement_key,
-    verify_identity,
-)
-from .matrices import (
-    CellClass,
-    DegenerateMatrix,
-    MatrixConditionError,
-    NotBMember,
-    NotExpandable,
-    NotFishburn,
-    NotRowFishburn,
-    NotSMMember,
-    NotSelfDual,
-    NotSuperTriangular,
-    OddDimension,
-    Parity,
-    ParseError,
-    StatVector,
-    TriMatrix,
-    cell_class,
-    dual,
-    expand,
-    format_matrix,
-    parse_matrix,
-    reduce,
-    reduced_size,
-    stats,
-)
+_EXPORTS = {
+    "records": (
+        "CellClass",
+        "DegenerateMatrix",
+        "MatrixConditionError",
+        "NotBMember",
+        "NotExpandable",
+        "NotFishburn",
+        "NotRowFishburn",
+        "NotSMMember",
+        "NotSelfDual",
+        "NotSuperTriangular",
+        "OddDimension",
+        "Parity",
+        "ParseError",
+    ),
+    "matrices": (
+        "StatVector",
+        "TriMatrix",
+        "cell_class",
+        "dual",
+        "expand",
+        "format_matrix",
+        "parse_matrix",
+        "reduce",
+        "reduced_size",
+        "stats",
+    ),
+    "bijections": (
+        "BijectionTrace",
+        "SignedRowFishburn",
+        "alpha",
+        "alpha_inv",
+        "beta",
+        "beta_inv",
+        "em_to_sm",
+        "embed_rm_in_b",
+        "project_b_to_signed_rm",
+        "selfdual_to_signed_rm",
+        "sm_to_em",
+    ),
+    "enumeration": (
+        "IDENTITIES",
+        "CountTable",
+        "FamilyTag",
+        "IdentityReport",
+        "count_refined",
+        "enumerate_family",
+        "family_member",
+        "family_size",
+        "family_violation",
+        "refinement_key",
+        "verify_identity",
+    ),
+    "posets": (
+        "LevelDecomposition",
+        "NotIntervalOrder",
+        "NotSelfDualMatrix",
+        "Poset",
+        "canonical_form",
+        "dual_poset",
+        "fishburn_to_poset",
+        "format_poset",
+        "is_interval_order",
+        "is_self_dual_poset",
+        "level_decomposition",
+        "parse_poset",
+        "poset_to_fishburn",
+        "reduced_size_of_interval_order",
+    ),
+}
 
-__all__ = [
-    "BijectionTrace",
-    "CellClass",
-    "CountTable",
-    "DegenerateMatrix",
-    "FamilyTag",
-    "IDENTITIES",
-    "IdentityReport",
-    "LevelDecomposition",
-    "MatrixConditionError",
-    "NotBMember",
-    "NotExpandable",
-    "NotFishburn",
-    "NotIntervalOrder",
-    "NotRowFishburn",
-    "NotSMMember",
-    "NotSelfDual",
-    "NotSelfDualMatrix",
-    "NotSuperTriangular",
-    "OddDimension",
-    "Parity",
-    "ParseError",
-    "Poset",
-    "SignedRowFishburn",
-    "StatVector",
-    "TriMatrix",
-    "alpha",
-    "alpha_inv",
-    "beta",
-    "beta_inv",
-    "canonical_form",
-    "cell_class",
-    "count_refined",
-    "dual",
-    "dual_poset",
-    "em_to_sm",
-    "embed_rm_in_b",
-    "enumerate_family",
-    "expand",
-    "family_member",
-    "family_size",
-    "family_violation",
-    "fishburn_to_poset",
-    "format_matrix",
-    "format_poset",
-    "is_interval_order",
-    "is_self_dual_poset",
-    "level_decomposition",
-    "parse_matrix",
-    "parse_poset",
-    "poset_to_fishburn",
-    "project_b_to_signed_rm",
-    "reduce",
-    "reduced_size",
-    "reduced_size_of_interval_order",
-    "refinement_key",
-    "selfdual_to_signed_rm",
-    "sm_to_em",
-    "stats",
-    "verify_identity",
-]
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-_POSET_NAMES = frozenset({
-    "LevelDecomposition",
-    "NotIntervalOrder",
-    "NotSelfDualMatrix",
-    "Poset",
-    "canonical_form",
-    "dual_poset",
-    "fishburn_to_poset",
-    "format_poset",
-    "is_interval_order",
-    "is_self_dual_poset",
-    "level_decomposition",
-    "parse_poset",
-    "poset_to_fishburn",
-    "reduced_size_of_interval_order",
-})
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    if name in _POSET_NAMES:
-        from . import posets
+    if name in _HOME:
+        from importlib import import_module
 
-        return getattr(posets, name)
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | _POSET_NAMES)
+    return sorted(set(globals()) | _HOME.keys())

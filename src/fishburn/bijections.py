@@ -26,7 +26,9 @@ checked ``expand``, which is what rejects the 1 x 1 zero matrix.
 
 The identity checker calls ``_chain`` (the whole chain), ``_beta``,
 ``_project``, ``_embed`` and ``_embed_even`` on the rows of members it
-generated, so it runs no entry check and hashes plain tuples.  Besides
+generated, so it runs no entry check and hashes plain tuples.  It reads
+them from this module when a pass starts, so a body replaced here is the
+one the pass runs.  Besides
 ``_project`` and ``_embed``, these apply the bodies through
 ``matrices._gather``: the cells a body moves depend only on the dimension
 and on which columns ``beta`` moves, so each shape's layout is derived

@@ -12,13 +12,16 @@ wall-clock timings, one per size for verify, go to standard error.  Exit
 status is 0 when every requested check passes, 1 when a check or
 membership predicate fails, and 2 on unusable input (bad flags, unreadable
 files, malformed matrix text).
+
+Each command imports the layers it runs: ``map`` and ``check`` load the
+matrix layer and ``map`` the maps, when they are called, and ``verify``
+loads both through the identity checker, so a ``count`` run loads neither.
 """
 
 import argparse
 import sys
 import time
 
-from .bijections import alpha, alpha_inv, beta, beta_inv, selfdual_to_signed_rm
 from .enumeration import (
     IDENTITIES,
     FamilyTag,
@@ -27,15 +30,7 @@ from .enumeration import (
     verify_identities,
     verify_identity,  # unused here; perfbench's tracer tests patch this binding
 )
-from .matrices import (
-    MatrixConditionError,
-    ParseError,
-    _is_uint,
-    _Record,
-    format_matrix,
-    parse_matrix,
-    stats,
-)
+from .records import MatrixConditionError, ParseError, _Record
 
 # --- run outcome ---------------------------------------------------------------
 
@@ -68,6 +63,8 @@ def cmd_verify(identity, max_size):
     output = "\n".join(lines) + "\n"
     witness = next((r.counterexample for r in reports if r.counterexample is not None), None)
     if witness is not None:
+        from .matrices import format_matrix
+
         output += "counterexample:\n" + format_matrix(witness)
     return RunReport(passed, output, tuple(timings))
 
@@ -79,12 +76,13 @@ def cmd_count(family, n, output_format):
     return RunReport(True, payload)
 
 
+# each --bijection choice and the map of ``bijections`` it names
 _BIJECTIONS = {
-    "alpha": alpha,
-    "alpha_inv": alpha_inv,
-    "beta": beta,
-    "beta_inv": beta_inv,
-    "chain": selfdual_to_signed_rm,
+    "alpha": "alpha",
+    "alpha_inv": "alpha_inv",
+    "beta": "beta",
+    "beta_inv": "beta_inv",
+    "chain": "selfdual_to_signed_rm",
 }
 
 
@@ -96,8 +94,11 @@ def cmd_map(bijection, input_path, trace=False):
     snapshot is printed instead, the image being the last one.  The chain
     appends a "flag:" line either way.
     """
+    from . import bijections
+    from .matrices import format_matrix, parse_matrix
+
     m = parse_matrix(_read_input(input_path))
-    result = _BIJECTIONS[bijection](m, want_trace=trace)
+    result = getattr(bijections, _BIJECTIONS[bijection])(m, want_trace=trace)
     image, snapshots = result if trace else (result, None)
     if trace:
         pieces = [f"{label}:\n{format_matrix(snapshot)}\n"
@@ -112,6 +113,8 @@ def cmd_map(bijection, input_path, trace=False):
 def cmd_check(family, input_path):
     """Report whether a matrix from a file belongs to a family, and its
     statistics either way.  Non-membership is a failed check (exit 1)."""
+    from .matrices import parse_matrix, stats
+
     m = parse_matrix(_read_input(input_path))
     violation = family_violation(family, m)
     lines = []
@@ -143,7 +146,8 @@ def _read_input(path):
 
 
 def _positive_int(text):
-    if not _is_uint(text) or int(text) < 1:
+    # ASCII digits only, the rule parse_matrix applies to its tokens
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -215,3 +219,13 @@ def main(argv=None):
     for label, seconds in report.timings:
         print(f"{label}: {seconds:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
+
+
+def __getattr__(name):
+    # the maps by their ``bijections`` names (``cli.alpha``), loaded on
+    # first use like the rest of the map layer
+    if name in _BIJECTIONS.values():
+        from . import bijections
+
+        return getattr(bijections, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,32 +33,22 @@ table from each target to its key; one routine checks every leg for
 injectivity, escape from the target set, image-set equality and key
 transport, reading image keys from that table rather than recomputing them.
 Legs run over row tuples: a member is its rows, or (rows, flag) for a
-signed matrix, each map is its unchecked body in ``bijections``, and a
-witness becomes a ``TriMatrix`` only when a leg fails.  The identities at
-one size share one pass, which builds each family's statistics and each
-chain image once.
+signed matrix, each map is its unchecked body, read from ``bijections``
+when the pass starts, and a witness becomes a ``TriMatrix`` only when a
+leg fails.  The identities at one size share one pass, which builds each
+family's statistics and each chain image once.
+
+Only the records this module defines values with come in at import time,
+from ``records``: ``matrices`` and ``bijections`` load on first use, in
+the walk's builder, the membership and size checks, and the verify pass,
+so a ``count`` run, which needs neither, loads neither.
 """
 
 from collections import Counter
 from enum import Enum
 from functools import cache, lru_cache
 
-from .bijections import _beta, _chain, _embed, _embed_even, _project
-from .matrices import (
-    Parity,
-    TriMatrix,
-    _expand_rows,
-    _getters,
-    _place,
-    _Record,
-    b_violation,
-    fishburn_violation,
-    reduced_size,
-    row_fishburn_violation,
-    selfdual_violation,
-    sm_violation,
-    stats,
-)
+from .records import Parity, _Record
 
 # --- family tags -------------------------------------------------------------
 
@@ -71,12 +61,13 @@ class FamilyTag(Enum):
     B = "b"
 
 
+# the conditions of each family, by their names in ``matrices``
 _VIOLATIONS = {
-    FamilyTag.FISHBURN: fishburn_violation,
-    FamilyTag.SELF_DUAL: lambda m: selfdual_violation(m) or fishburn_violation(m),
-    FamilyTag.RM: row_fishburn_violation,
-    FamilyTag.SM: sm_violation,
-    FamilyTag.B: b_violation,
+    FamilyTag.FISHBURN: ("fishburn_violation",),
+    FamilyTag.SELF_DUAL: ("selfdual_violation", "fishburn_violation"),
+    FamilyTag.RM: ("row_fishburn_violation",),
+    FamilyTag.SM: ("sm_violation",),
+    FamilyTag.B: ("b_violation",),
 }
 
 
@@ -84,7 +75,13 @@ def family_violation(family, m):
     """None when ``m`` belongs to the family, else the first failed condition."""
     if not isinstance(family, FamilyTag):
         raise ValueError(f"unknown family {family!r}")
-    return _VIOLATIONS[family](m)
+    from . import matrices
+
+    for name in _VIOLATIONS[family]:
+        violation = getattr(matrices, name)(m)
+        if violation is not None:
+            return violation
+    return None
 
 
 def family_member(family, m):
@@ -95,6 +92,8 @@ def family_size(family, m):
     """The family's size notion: entry sum, except the NW plus diagonal sum
     for the self-dual family."""
     if family is FamilyTag.SELF_DUAL:
+        from .matrices import reduced_size
+
         return reduced_size(m)
     return m.size()
 
@@ -213,6 +212,8 @@ def _builder(d, cells, mirrored):
     position of its value after a padding 0 (``matrices._gather``'s
     convention), mirrored by the body of ``expand``; a member is then one
     getter per row over its values."""
+    from .matrices import TriMatrix, _expand_rows, _getters, _place
+
     position = {cell: t for t, cell in enumerate(cells, start=1)}
     layout = tuple(tuple(position.get((i, j), 0) for j in range(1, d + 1))
                    for i in range(1, d + 1))
@@ -356,7 +357,12 @@ def _tally(total, lines, plan, k_at, p_at):
         for state, table in states.items():
             for v, after in _moves(*state, through, ending):
                 shift = v * step
-                target = following.setdefault(after, {})
+                target = following.get(after)
+                # the first table to reach a state is copied whole
+                if target is None:
+                    following[after] = (table.copy() if not shift else
+                                        {key + shift: count for key, count in table.items()})
+                    continue
                 for key, count in table.items():
                     key += shift
                     target[key] = target.get(key, 0) + count
@@ -402,26 +408,35 @@ class _Leg(_Record):
 
 def _matrix(member):
     # the witness of a member, a signed one being reported by its matrix
+    from .matrices import TriMatrix
+
     return TriMatrix._trusted(member[0] if isinstance(member[0][0], tuple) else member)
+
+
+_MISSING = object()
 
 
 def _check_leg(leg):
     """None when the leg holds, else (detail, witness), the witness built as
     a ``TriMatrix`` only here, on failure."""
     images = {}
+    apply, targets = leg.apply, leg.targets
     for source, key in leg.sources:
-        image = leg.apply(source)
-        if image in images:
+        image = apply(source)
+        target_key = targets.get(image, _MISSING)
+        # one insertion per source: a shared image leaves the size as it was
+        size = len(images)
+        images[image] = source
+        if len(images) == size:
             problem = "two members share an image"
-        elif image not in leg.targets:
+        elif target_key is _MISSING:
             problem = "image escapes the target set"
-        elif leg.targets[image] != key:
+        elif target_key != key:
             problem = "statistics not transported"
         else:
-            images[image] = source
             continue
         return f"{problem} under {leg.name}", _matrix(source)
-    if len(images) != len(leg.targets):
+    if len(images) != len(targets):
         return f"image set misses targets under {leg.name}", None
     if leg.inverse is not None:
         for image, source in images.items():
@@ -436,6 +451,8 @@ def _spec(identity, n, with_stats, chain):
     family through the chain into rm x {1}, rm x {0} and rm x {0, 1}; eq4
     embeds rm x {0, 1} into b; eq8 sends the even half of the self-dual
     family into the zero-center slice of sm and that slice on into rm."""
+    from .bijections import _beta, _embed, _embed_even, _project
+
     if identity == "eq8":
         selfdual = with_stats(FamilyTag.SELF_DUAL)
         even = [(m, st.first_row_sum) for m, st in selfdual if st.dim % 2 == 0]
@@ -494,6 +511,9 @@ def verify_identities(identities, n):
             raise ValueError(f"unknown identity {identity!r}, expected one of {IDENTITIES}")
     if n < 1:
         raise ValueError("n must be at least 1")
+    from .bijections import _chain
+    from .matrices import stats
+
     # shared by the pass, each built on first use and dropped with the pass:
     # each family's rows with their statistics, and each self-dual member's
     # chain image, which eq1, eq2 and eq3 all read

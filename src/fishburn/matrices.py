@@ -17,6 +17,9 @@ cells zeroed out.
 The matrix and every other value type of the package (statistics, traces,
 signed matrices, posets, count tables, reports) are ``_Record`` classes:
 frozen, slotted records that cost nothing to define at import time.
+``_Record``, the exceptions, ``CellClass`` and ``Parity`` are defined in
+``fishburn.records`` and imported back here, so they keep their names on
+this module.
 
 A private body that only places cells and inserts zeros, whatever their
 values, can be compiled by ``_gather`` into one cached getter per output
@@ -24,149 +27,27 @@ row, which the verify pass and the generator walk apply to many matrices
 of one shape.
 """
 
-from enum import Enum
 from functools import cache
 from itertools import chain
 from operator import itemgetter
 
-# --- exceptions ------------------------------------------------------------
-
-
-class MatrixConditionError(ValueError):
-    """A matrix fails a structural condition required by an operation."""
-
-
-class NotSelfDual(MatrixConditionError):
-    """The matrix differs from its mirror across the anti-diagonal."""
-
-
-class NotFishburn(MatrixConditionError):
-    """Some row or column of the matrix is entirely zero."""
-
-
-class NotRowFishburn(MatrixConditionError):
-    """Some row of the matrix is entirely zero."""
-
-
-class NotSuperTriangular(MatrixConditionError):
-    """Some SE cell of the matrix is nonzero."""
-
-
-class NotExpandable(MatrixConditionError):
-    """The zero-SE matrix cannot be mirrored into a matrix with every row
-    and column nonzero."""
-
-
-class NotSMMember(MatrixConditionError):
-    """The matrix fails the odd-dimension zero-SE family conditions."""
-
-
-class NotBMember(MatrixConditionError):
-    """Some row past the first is entirely zero."""
-
-
-class DegenerateMatrix(MatrixConditionError):
-    """All-zero input where an operation needs at least one unit of mass."""
-
-
-class OddDimension(MatrixConditionError):
-    """An even dimension was required."""
-
-
-class ParseError(ValueError):
-    """Malformed matrix text."""
-
-
-# --- core types ------------------------------------------------------------
-
-
-class CellClass(Enum):
-    NW = "nw"
-    DIAGONAL = "diagonal"
-    SE = "se"
-
-
-class Parity(Enum):
-    EVEN = "even"
-    ODD = "odd"
-    ANY = "any"
-
-
-class _Record:
-    """Frozen, slotted value record.
-
-    A subclass lists its fields in order as ``__slots__`` and the defaults
-    of trailing fields in ``_defaults``.  It is built from its fields by
-    position or keyword, after which ``__post_init__``, looked up on the
-    class, may validate them.  Values of one class compare and hash by
-    their fields and never equal a value of another class; the repr is
-    ``Name(field=value, ...)``; assigning or deleting a field raises
-    AttributeError; copy and pickle rebuild a value through its
-    constructor.
-    """
-
-    __slots__ = ()
-    _defaults = {}
-
-    def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        if kwargs or len(args) != len(names):
-            args = self._arguments(args, kwargs)
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
-
-    @classmethod
-    def _arguments(cls, args, kwargs):
-        """The field values, in field order, of a call with keywords or
-        with fields left to their defaults."""
-        name = cls.__qualname__
-        names = cls.__slots__
-        if len(args) > len(names):
-            raise TypeError(f"{name}() takes {len(names)} positional arguments "
-                            f"but {len(args)} were given")
-        for key in kwargs:
-            if key not in names:
-                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if names.index(key) < len(args):
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-        values = list(args)
-        for key in names[len(args):]:
-            if key in kwargs:
-                values.append(kwargs[key])
-            elif key in cls._defaults:
-                values.append(cls._defaults[key])
-            else:
-                raise TypeError(f"{name}() missing required argument: {key!r}")
-        return values
-
-    def __post_init__(self):
-        pass
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values()
-
+# the shared records; those this module does not use are kept as its names
+from .records import (
+    CellClass,
+    DegenerateMatrix,
+    MatrixConditionError,
+    NotBMember,
+    NotExpandable,
+    NotFishburn,
+    NotRowFishburn,
+    NotSelfDual,
+    NotSMMember,
+    NotSuperTriangular,
+    OddDimension,
+    Parity,
+    ParseError,
+    _Record,
+)
 
 _PLAIN_INT = {int}
 

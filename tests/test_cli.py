@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from fishburn import enumeration, format_matrix
+from fishburn import bijections, format_matrix
 from fishburn.cli import main
 from vectors import (
     A5,
@@ -87,13 +87,13 @@ def test_verify_without_asserts():
 
 def test_verify_failure_prints_counterexample(monkeypatch, capsys):
     # the checker runs the chain's row body, which returns (rows, flag)
-    chain = enumeration._chain
+    chain = bijections._chain
 
     def flipped(rows):
         image, flag = chain(rows)
         return image, 1 - flag
 
-    monkeypatch.setattr(enumeration, "_chain", flipped)
+    monkeypatch.setattr(bijections, "_chain", flipped)
     assert main(["verify", "--identity", "eq1", "--max-size", "3"]) == 1
     out, _ = capsys.readouterr()
     assert "eq1 n=1: FAIL (" in out
@@ -310,17 +310,37 @@ def test_module_entry_point(tmp_path):
 
 def test_cold_import_loads_only_what_commands_run():
     # a fresh interpreter importing the command line compiles and runs no
-    # more than the matrix commands need: no dataclass machinery, no
-    # serializers before a table is printed, no poset layer
+    # more than a count needs: no dataclass machinery, no serializers
+    # before a table is printed, no matrix, map or poset layer
+    assert not _modules_after("import fishburn.cli") & {
+        "dataclasses", "inspect", "json", "csv", "fishburn.bijections",
+        "fishburn.matrices", "fishburn.posets"}
+
+
+def test_bare_package_import_loads_no_submodule():
+    import fishburn
+    from fishburn import matrices, records
+
+    assert not {name for name in _modules_after("import fishburn")
+                if name.startswith("fishburn.")}
+    # each name is the object held under it by the module defining it
+    for name in fishburn.__all__:
+        value = getattr(fishburn, name)
+        home = getattr(value, "__module__", "fishburn.enumeration")  # IDENTITIES
+        assert home.startswith("fishburn."), name
+        assert vars(sys.modules[home])[name] is value, name
+    assert fishburn.Parity is matrices.Parity is records.Parity
+
+
+def _modules_after(statement):
+    """The modules a fresh interpreter holds after running ``statement``."""
     src = pathlib.Path(__file__).parents[1] / "src"
-    probe = ("import sys, fishburn.cli; print(' '.join(sorted(name for name in ("
-             "'dataclasses', 'inspect', 'json', 'csv', 'fishburn.posets') "
-             "if name in sys.modules)))")
     result = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        [sys.executable, "-c", f"import sys; {statement}; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=False)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "\n"
+    return set(result.stdout.split())
 
 
 def test_poset_names_resolve_on_first_use():

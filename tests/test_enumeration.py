@@ -519,8 +519,8 @@ def calls(monkeypatch):
 
     for family in FamilyTag:
         enumerate_family(family, 4)
-    monkeypatch.setattr(enumeration, "_chain", counting("chain", enumeration._chain))
-    monkeypatch.setattr(enumeration, "stats", counting("stats", enumeration.stats))
+    monkeypatch.setattr(bijections, "_chain", counting("chain", bijections._chain))
+    monkeypatch.setattr(matrices, "stats", counting("stats", matrices.stats))
     monkeypatch.setattr(SignedRowFishburn, "__post_init__",
                         counting("signed", SignedRowFishburn.__post_init__))
     return counts
@@ -553,12 +553,12 @@ def test_identity_alone_does_no_extra_work(calls, identity):
     assert all(now <= before for now, before in zip(made, ALONE_AT_4[identity]))
 
 # --- injected faults ---------------------------------------------------------------
-# Each test breaks one map's row body where the checker looks it up and
-# asserts that the identity built on that map fails with its detail and a
-# witness matrix.  A body takes the rows of a member and returns rows, or
+# Each test breaks one map's row body where the checker looks it up, on
+# ``bijections``, and asserts that the identity built on that map fails with
+# its detail and a witness matrix.  A body takes the rows of a member and returns rows, or
 # (rows, flag) for a signed matrix.
 
-_chain = enumeration._chain
+_chain = bijections._chain
 
 
 def _flipped_chain(rows):
@@ -568,7 +568,7 @@ def _flipped_chain(rows):
 
 @pytest.mark.parametrize("identity", ["eq1", "eq2"])
 def test_flipped_chain_flag_fails_slice_identity(monkeypatch, identity):
-    monkeypatch.setattr(enumeration, "_chain", _flipped_chain)
+    monkeypatch.setattr(bijections, "_chain", _flipped_chain)
     report = verify_identity(identity, 3)
     assert report.passed is False
     slice_name = "positive-sum" if identity == "eq2" else "zero-sum"
@@ -582,7 +582,7 @@ def test_flipped_chain_flag_fails_slice_identity(monkeypatch, identity):
 
 def test_flipped_chain_flag_still_passes_eq3(monkeypatch):
     # a global flag flip is a bijection onto rm x {0, 1}
-    monkeypatch.setattr(enumeration, "_chain", _flipped_chain)
+    monkeypatch.setattr(bijections, "_chain", _flipped_chain)
     assert verify_identity("eq3", 3).passed
 
 
@@ -592,7 +592,7 @@ def test_merging_chain_fails_eq3(monkeypatch):
     def merging(rows):
         return _chain(members[0].rows if rows == members[1].rows else rows)
 
-    monkeypatch.setattr(enumeration, "_chain", merging)
+    monkeypatch.setattr(bijections, "_chain", merging)
     report = verify_identity("eq3", 3)
     assert report.passed is False
     assert report.detail == "two members share an image under the full map chain"
@@ -611,7 +611,7 @@ def test_swapping_chain_fails_eq2_transport(monkeypatch):
     def swapping(rows):
         return _chain(swap.get(rows, rows))
 
-    monkeypatch.setattr(enumeration, "_chain", swapping)
+    monkeypatch.setattr(bijections, "_chain", swapping)
     report = verify_identity("eq2", 3)
     assert report.passed is False
     assert report.detail == ("statistics not transported under the map chain "
@@ -620,8 +620,8 @@ def test_swapping_chain_fails_eq2_transport(monkeypatch):
 
 
 def test_flag_blind_embedding_fails_eq4(monkeypatch):
-    embed = enumeration._embed
-    monkeypatch.setattr(enumeration, "_embed", lambda rows, flag: embed(rows, 0))
+    embed = bijections._embed
+    monkeypatch.setattr(bijections, "_embed", lambda rows, flag: embed(rows, 0))
     report = verify_identity("eq4", 3)
     assert report.passed is False
     assert report.detail == "two members share an image under the embedding"
@@ -629,13 +629,13 @@ def test_flag_blind_embedding_fails_eq4(monkeypatch):
 
 
 def test_flag_flipping_projection_fails_eq4(monkeypatch):
-    project = enumeration._project
+    project = bijections._project
 
     def flipped(rows):
         image, flag = project(rows)
         return image, 1 - flag
 
-    monkeypatch.setattr(enumeration, "_project", flipped)
+    monkeypatch.setattr(bijections, "_project", flipped)
     report = verify_identity("eq4", 3)
     assert report.passed is False
     assert report.detail == "inverse map does not undo the embedding"
@@ -676,8 +676,8 @@ def test_constant_parity_embedding_fails_eq8(monkeypatch):
     # the constant image carries a first-row sum the first even member lacks
     even = [m for m in enumerate_family(FamilyTag.SELF_DUAL, 3) if m.dim % 2 == 0]
     other = next(m for m in even if m.row_sum(1) != even[0].row_sum(1))
-    image = enumeration._embed_even(other.rows)
-    monkeypatch.setattr(enumeration, "_embed_even", lambda rows: image)
+    image = bijections._embed_even(other.rows)
+    monkeypatch.setattr(bijections, "_embed_even", lambda rows: image)
     report = verify_identity("eq8", 3)
     assert report.passed is False
     assert report.detail == "statistics not transported under the parity embedding"
@@ -692,8 +692,8 @@ def test_swapping_relocation_fails_eq8_transport(monkeypatch):
     first = zero_center[0]
     other = next(s for s in zero_center if s.row_sum(1) != first.row_sum(1))
     swap = {first.rows: other.rows, other.rows: first.rows}
-    relocate = enumeration._beta
-    monkeypatch.setattr(enumeration, "_beta", lambda rows: relocate(swap.get(rows, rows)))
+    relocate = bijections._beta
+    monkeypatch.setattr(bijections, "_beta", lambda rows: relocate(swap.get(rows, rows)))
     report = verify_identity("eq8", 3)
     assert report.passed is False
     assert report.detail == ("statistics not transported under column relocation "
@@ -728,7 +728,7 @@ def test_faulty_body_reaches_the_compiled_pass(monkeypatch):
 
 
 def test_flipped_chain_in_one_pass_matches_single_checks(monkeypatch):
-    monkeypatch.setattr(enumeration, "_chain", _flipped_chain)
+    monkeypatch.setattr(bijections, "_chain", _flipped_chain)
     reports = verify_identities(("eq1", "eq2", "eq3"), 3)
     assert [report.passed for report in reports] == [False, False, True]
     assert reports == [verify_identity(identity, 3) for identity in ("eq1", "eq2", "eq3")]
