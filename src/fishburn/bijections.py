@@ -21,20 +21,27 @@ member and returns rows, or (rows, flag) for a signed matrix: ``_fold``
 ``_project``, ``_embed`` (``embed_rm_in_b``) and ``_pad_center``
 (``em_to_sm``).  The public map checks its input once, at entry, and
 wraps what the body returns in ``TriMatrix._trusted``, which skips the
-per-cell check of the public constructor.  ``alpha_inv`` keeps the
-checked ``expand``, which is what rejects the 1 x 1 zero matrix.
+per-cell check of the public constructor.  ``alpha_inv`` checks only
+that its swapped rows expand, which is what rejects the 1 x 1 zero
+matrix.
 
-The identity checker calls ``_chain`` (the whole chain), ``_beta``,
-``_project``, ``_embed`` and ``_embed_even`` on the rows of members it
-generated, so it runs no entry check and hashes plain tuples.  It reads
-them from this module when a pass starts, so a body replaced here is the
-one the pass runs.  Besides
-``_project`` and ``_embed``, these apply the bodies through
+The bodies that only move cells and insert zeros are applied through
 ``matrices._gather``: the cells a body moves depend only on the dimension
 and on which columns ``beta`` moves, so each shape's layout is derived
-once, by running the body, and then read by one getter per row.  The
-public maps run their bodies directly, since single calls seldom repeat
-a shape soon enough to pay for its layout.
+once, by running the body, and then read by one getter per row.
+``_chain`` (the whole chain), ``_beta`` and ``_embed_even`` are compiled
+forms of the bodies.  The identity checker calls them, ``_project`` and
+``_embed`` on the rows of members it generated, so it runs no entry
+check and hashes plain tuples; it reads them from this module when a
+pass starts, so a body replaced here is the one the pass runs.  Without
+a trace, ``selfdual_to_signed_rm``, ``beta`` and ``em_to_sm`` apply the
+same compiled forms after their entry checks, and ``alpha`` the layout
+of ``_fold``: a stream of 2 000 single requests builds about 175
+layouts and reads each about 15 times.
+A trace needs the body's intermediate rows, so it runs the body
+directly.  ``alpha_inv`` and ``beta_inv`` always run directly:
+``alpha_inv`` checks its swapped rows, so it builds them anyway, and a
+layout for it measured no faster.
 
 ``alpha``, ``alpha_inv``, ``beta``, ``beta_inv`` and the chain
 ``selfdual_to_signed_rm`` can optionally record a trace: a sequence of
@@ -47,6 +54,7 @@ from .matrices import (
     DegenerateMatrix,
     MatrixConditionError,
     NotBMember,
+    NotExpandable,
     NotFishburn,
     NotRowFishburn,
     NotSelfDual,
@@ -61,7 +69,7 @@ from .matrices import (
     _Record,
     _reduce,
     b_violation,
-    expand,
+    expandable_violation,
     fishburn_violation,
     require,
     row_fishburn_violation,
@@ -141,15 +149,15 @@ def alpha(m, want_trace=False):
     """
     require(selfdual_violation, NotSelfDual, m)
     require(fishburn_violation, NotFishburn, m)
+    if not want_trace:
+        return TriMatrix._trusted(_place(_gather(_fold, m.dim), _flat(m.rows)))
     out = TriMatrix._trusted(_fold(m.rows))
-    if want_trace:
-        r = _reduce(m.rows)
-        steps = [("A(0)", m), ("A(1)", TriMatrix._trusted(r))]
-        if m.dim % 2 == 0:
-            steps.append(("A(2)", TriMatrix._trusted(_insert_zero_line(r, m.dim // 2))))
-        steps.append(("S", out))
-        return out, BijectionTrace(tuple(steps))
-    return out
+    r = _reduce(m.rows)
+    steps = [("A(0)", m), ("A(1)", TriMatrix._trusted(r))]
+    if m.dim % 2 == 0:
+        steps.append(("A(2)", TriMatrix._trusted(_insert_zero_line(r, m.dim // 2))))
+    steps.append(("S", out))
+    return out, BijectionTrace(tuple(steps))
 
 
 def _fold(rows):
@@ -170,8 +178,10 @@ def alpha_inv(s, want_trace=False):
     if k >= 1 and not any(row[k] for row in g.rows) and not any(g.rows[k]):
         g = TriMatrix._trusted(_drop_line(g.rows, k))
         steps.append(("A(2)", g))
-    # checked: the 1 x 1 zero matrix is an sm member that has no preimage
-    out = expand(g)
+    # the swap and the drop keep SE zero, so only expandability is left to
+    # check: the 1 x 1 zero matrix is an sm member that has no preimage
+    require(expandable_violation, NotExpandable, g)
+    out = TriMatrix._trusted(_expand_rows(g.rows))
     if want_trace:
         steps.append(("M", out))
         return out, BijectionTrace(tuple(steps))
@@ -212,17 +222,17 @@ def beta(a, want_trace=False):
     require(sm_violation, NotSMMember, a)
     if a.size() == 0:
         raise DegenerateMatrix("the all-zero matrix has no image")
+    if not want_trace:
+        return TriMatrix._trusted(_beta(a.rows))
     moved = _moved(a.rows)
     block = _block(a.rows, moved)
     out = TriMatrix._trusted(_dual_rows(block))
-    if want_trace:
-        steps = [("A(0)", a)]
-        steps += ((f"A({t})", x) for t, x in enumerate(_relocation_steps(a.rows, moved), 1))
-        if len(block) > 1:
-            steps.append(("B", TriMatrix._trusted(block)))
-        steps.append(("A'", out))
-        return out, BijectionTrace(tuple(steps))
-    return out
+    steps = [("A(0)", a)]
+    steps += ((f"A({t})", x) for t, x in enumerate(_relocation_steps(a.rows, moved), 1))
+    if len(block) > 1:
+        steps.append(("B", TriMatrix._trusted(block)))
+    steps.append(("A'", out))
+    return out, BijectionTrace(tuple(steps))
 
 
 def _relocation(d, moved):
@@ -364,16 +374,19 @@ def selfdual_to_signed_rm(m, want_trace=False):
     """The full chain from a self-dual matrix with nonzero rows and columns
     to a row-nonzero matrix plus one bit: fold to the odd-dimension zero-SE
     family, relocate columns, project the first row away when it is zero.
-    Only ``alpha`` checks: its image is an ``sm`` member of positive size,
-    and the image of that under ``beta`` a ``b`` member."""
-    s = alpha(m)
+    Only ``alpha``'s entry check runs: the fold's image is an ``sm``
+    member of positive size, and the image of that under ``beta`` a ``b``
+    member."""
+    require(selfdual_violation, NotSelfDual, m)
+    require(fishburn_violation, NotFishburn, m)
+    if not want_trace:
+        return _signed(_chain(m.rows))
+    s = TriMatrix._trusted(_fold(m.rows))
     b_rows = _relocate(s.rows, _moved(s.rows))
     signed = _signed(_project(b_rows))
-    if want_trace:
-        steps = (("A(0)", m), ("alpha", s), ("beta", TriMatrix._trusted(b_rows)),
-                 ("R", signed.matrix))
-        return signed, BijectionTrace(steps)
-    return signed
+    steps = (("A(0)", m), ("alpha", s), ("beta", TriMatrix._trusted(b_rows)),
+             ("R", signed.matrix))
+    return signed, BijectionTrace(steps)
 
 
 def _chain(rows):
@@ -412,7 +425,7 @@ def em_to_sm(m):
     if m.dim % 2:
         raise OddDimension(f"dimension {m.dim} is odd, expected even")
     require(fishburn_violation, NotFishburn, m)
-    return TriMatrix._trusted(_pad_center(m.rows))
+    return TriMatrix._trusted(_embed_even(m.rows))
 
 
 def _pad_center(rows):

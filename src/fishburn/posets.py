@@ -14,18 +14,23 @@ Self-duality of a poset (isomorphism with its order reversal) is decided
 here by backtracking search, independently of the matrix mirror test, so
 the two notions can be compared rather than assumed to agree.
 
-The relation is stored as a frozenset of pairs, but every kernel first
-turns it, in one pass, into per-element down-set and up-set bitmasks (bit
-x - 1 stands for element x).  The level chains sort distinct masks by
-popcount and test inclusion as ``a & ~b == 0``; the self-duality search
-checks a candidate image with two mask comparisons; and twins, elements
-with equal masks, are interchangeable, so the search and
-``canonical_form`` permute twin classes rather than elements.  The text
-boundary uses the same masks: ``parse_poset`` closes the relation over
-up-set masks, and the public constructor checks transitivity as one mask
-inclusion per pair, the up-set of y inside that of x for x below y.  The
-decoder ``fishburn_to_poset`` needs no masks: its row-major labels put
-the elements above any up-level in one suffix of the labels.
+The relation is stored as a frozenset of pairs, but every kernel works on
+per-element down-set and up-set bitmasks (bit x - 1 stands for element
+x), which ``_masks`` derives in one pass over the pairs and keeps with
+the poset, in a slot that is no field of the record, so the constructor
+check and every later kernel on one poset share that pass.  The level
+chains sort distinct masks by popcount and test inclusion as
+``a & ~b == 0``; the self-duality search checks a candidate image with
+two mask comparisons; and twins, elements with equal masks, are
+interchangeable, so the search and ``canonical_form`` permute twin
+classes rather than elements.  The text boundary uses the same masks:
+``parse_poset`` closes the relation over up-set masks, and the public
+constructor checks transitivity as one mask inclusion per pair, the
+up-set of y inside that of x for x below y.  The decoder
+``fishburn_to_poset`` reads the masks off the matrix instead of the
+pairs: its row-major labels put the elements above any up-level in one
+suffix of the labels, and those below any level in the columns before
+it.  ``dual_poset`` keeps its input's masks, swapped.
 """
 
 import itertools
@@ -61,7 +66,20 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class Poset(_Record):
+class _MaskedRecord(_Record):
+    """A record with one more slot, ``_down_up``, for the masks ``_masks``
+    derives from it.  The slot is no field: ``__slots__`` of a subclass
+    lists only its fields, so equality, hash, repr, copy and pickle read
+    the fields alone, and a copy derives its masks again."""
+
+    __slots__ = ("_down_up",)
+
+
+# stores the masks of a poset past the frozen ``__setattr__``
+_set_down_up = _MaskedRecord._down_up.__set__
+
+
+class Poset(_MaskedRecord):
     """Strict partial order on elements 1..n_elements.
 
     ``relation`` holds the full set of ordered pairs (x, y) with x below y.
@@ -75,12 +93,15 @@ class Poset(_Record):
     __slots__ = ("n_elements", "relation")
 
     @classmethod
-    def _trusted(cls, n_elements, relation):
+    def _trusted(cls, n_elements, relation, down_up=None):
         """A poset over ``relation`` without validation, for a relation the
-        caller built to satisfy every condition ``__post_init__`` checks."""
+        caller built to satisfy every condition ``__post_init__`` checks;
+        ``down_up``, when given, is what ``_masks`` would derive from it."""
         p = object.__new__(cls)
         object.__setattr__(p, "n_elements", n_elements)
         object.__setattr__(p, "relation", relation)
+        if down_up is not None:
+            _set_down_up(p, down_up)
         return p
 
     def __post_init__(self):
@@ -141,8 +162,13 @@ def is_interval_order(p):
 
 def _masks(p):
     """Every element's down-set and up-set as bitmasks, from one pass over
-    the relation.  Index x - 1 of each list holds element x's set, in which
-    bit y - 1 stands for element y."""
+    the relation, kept with the poset for the next call.  Index x - 1 of
+    each tuple holds element x's set, in which bit y - 1 stands for
+    element y."""
+    try:
+        return p._down_up
+    except AttributeError:
+        pass
     n = p.n_elements
     bit = [0] + [1 << y for y in range(n)]
     downs = [0] * (n + 1)
@@ -150,7 +176,9 @@ def _masks(p):
     for x, y in p.relation:
         downs[y] |= bit[x]
         ups[x] |= bit[y]
-    return downs[1:], ups[1:]
+    down_up = (tuple(downs[1:]), tuple(ups[1:]))
+    _set_down_up(p, down_up)
+    return down_up
 
 
 def _chain(masks):
@@ -217,23 +245,38 @@ def fishburn_to_poset(m):
     a suffix, the labels from the first one of row j + 1 on, so each cell
     pairs its labels with one suffix.  That relation is an order as built,
     irreflexive since ia <= ja and transitive since ja < ib <= jb < ic, so
-    the poset skips the constructor's check.
+    the poset skips the constructor's check.  The masks come from the
+    same labels: a cell's up-set is its suffix, and the down-set of a
+    level i element holds every label in the columns before i.
     """
     require(fishburn_violation, NotFishburn, m)
     rows = m.rows
+    d = len(rows)
     # starts[r] is the first label of row r + 1, and starts[-1] - 1 the count
     starts = tuple(itertools.accumulate(map(sum, rows), initial=1))
     end = starts[-1]
+    # top - (1 << (s - 1)) is the mask of the labels s..end - 1
+    top = 1 << (end - 1)
+    # below[c] is the mask of the labels in the first c columns
+    below = [0] * (d + 1)
     pairs = []
+    downs = []
+    ups = []
     label = 1
     for i, row in enumerate(rows):
-        for j in range(i, len(rows)):
+        for j in range(i, d):
             count = row[j]
             if count:
+                start = starts[j + 1]
                 pairs.extend(itertools.product(range(label, label + count),
-                                               range(starts[j + 1], end)))
+                                               range(start, end)))
+                ups += [top - (1 << (start - 1))] * count
+                below[j + 1] |= (1 << (label + count - 1)) - (1 << (label - 1))
                 label += count
-    return Poset._trusted(end - 1, frozenset(pairs))
+        downs += [below[i]] * (starts[i + 1] - starts[i])
+        # no later row reaches column i + 1, so its labels are all in
+        below[i + 1] |= below[i]
+    return Poset._trusted(end - 1, frozenset(pairs), (tuple(downs), tuple(ups)))
 
 
 # --- duality -------------------------------------------------------------------------
@@ -241,8 +284,11 @@ def fishburn_to_poset(m):
 
 def dual_poset(p):
     """Reverse the order; an involution, and the reversal of a valid order
-    is one."""
-    return Poset._trusted(p.n_elements, frozenset((y, x) for x, y in p.relation))
+    is one.  Masks the input holds go to the image with downs and ups
+    exchanged."""
+    down_up = getattr(p, "_down_up", None)
+    return Poset._trusted(p.n_elements, frozenset((y, x) for x, y in p.relation),
+                          None if down_up is None else down_up[::-1])
 
 
 def _twin_classes(downs, ups):

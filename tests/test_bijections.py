@@ -11,6 +11,7 @@ from fishburn import (
     FamilyTag,
     MatrixConditionError,
     NotBMember,
+    NotExpandable,
     NotFishburn,
     NotRowFishburn,
     NotSelfDual,
@@ -36,7 +37,7 @@ from fishburn import (
     stats,
 )
 from fishburn import bijections, matrices
-from fishburn.matrices import super_triangular_violation
+from fishburn.matrices import sm_violation, super_triangular_violation
 from matrix_strategies import (
     b_members,
     row_fishburn_matrices,
@@ -103,6 +104,15 @@ def test_alpha_inv_golden():
 def test_alpha_inv_rejects_non_member():
     with pytest.raises(NotSMMember):
         alpha_inv(TriMatrix(((1, 0), (0, 1))))
+
+
+def test_alpha_inv_rejects_the_zero_sm_member():
+    # the 1 x 1 zero matrix is an sm member with no preimage: its swapped
+    # rows are zero-SE but do not expand
+    assert sm_violation(ZERO_1) is None
+    with pytest.raises(NotExpandable) as err:
+        alpha_inv(ZERO_1)
+    assert str(err.value) == "column 1 zero"
 
 
 def test_alpha_roundtrip_exhaustive_small():
@@ -422,30 +432,62 @@ def test_parity_embedding_exhaustive_small():
 
 # --- row bodies -------------------------------------------------------------
 # The verify pass calls each map's unchecked body on row tuples, most of them
-# through layouts compiled per shape from the bodies the public maps run
-# directly; each must give exactly the rows (and flag) of its public map on
-# every member the pass sees, and the compiled ``stats`` the sums of its
-# cell helpers.
+# through layouts compiled per shape from the bodies, and so do ``alpha``,
+# ``beta``, the chain and ``em_to_sm`` without a trace; a trace runs the
+# bodies directly.  Each compiled form must give exactly the rows (and flag)
+# of its direct body, and of the last snapshot of its trace, on every member
+# the pass sees and on larger generated ones, and the compiled ``stats`` the
+# sums of its cell helpers.
 
 
 def _pair(signed):
     return signed.matrix.rows, signed.flag
 
 
+def _direct_chain(rows):
+    folded = bijections._fold(rows)
+    return bijections._project(bijections._relocate(folded, bijections._moved(folded)))
+
+
+def _check_compiled_fold(m):
+    image = alpha(m)
+    assert image.rows == bijections._fold(m.rows)
+    assert alpha(m, want_trace=True)[1].steps[-1] == ("S", image)
+
+
+def _check_compiled_chain(m):
+    signed = selfdual_to_signed_rm(m)
+    assert _pair(signed) == bijections._chain(m.rows) == _direct_chain(m.rows)
+    traced, trace = selfdual_to_signed_rm(m, want_trace=True)
+    assert traced == signed
+    assert trace.steps[-1] == ("R", signed.matrix)
+
+
+def _check_compiled_parity_embedding(m):
+    image = em_to_sm(m)
+    assert image.rows == bijections._embed_even(m.rows) == bijections._pad_center(m.rows)
+
+
+def _check_compiled_relocation(s):
+    image = beta(s)
+    assert image.rows == bijections._beta(s.rows) == (
+        bijections._relocate(s.rows, bijections._moved(s.rows)))
+    assert beta(s, want_trace=True)[1].steps[-1] == ("A'", image)
+
+
 def test_row_bodies_match_public_maps_up_to_size_6():
     for n in range(1, 7):
         for m in enumerate_family(FamilyTag.SELF_DUAL, n):
-            folded = bijections._fold(m.rows)
-            assert folded == alpha(m).rows
+            _check_compiled_fold(m)
             # the moved columns, read from the input's cells
             assert bijections._fold_moved(m.dim, matrices._flat(m.rows)) == (
-                bijections._moved(folded))
-            assert bijections._chain(m.rows) == _pair(selfdual_to_signed_rm(m))
+                bijections._moved(bijections._fold(m.rows)))
+            _check_compiled_chain(m)
             if m.dim % 2 == 0:
-                assert bijections._embed_even(m.rows) == em_to_sm(m).rows
+                _check_compiled_parity_embedding(m)
         for s in enumerate_family(FamilyTag.SM, n):
+            _check_compiled_relocation(s)
             image = beta(s)
-            assert bijections._beta(s.rows) == image.rows
             assert bijections._project(image.rows) == _pair(project_b_to_signed_rm(image))
         for a in enumerate_family(FamilyTag.RM, n):
             for flag in (0, 1):
@@ -475,5 +517,13 @@ def test_stats_match_the_cell_helpers_up_to_size_6():
 def test_compiled_relocation_matches_beta_generated(s):
     # members larger than the sweep's reach some (dimension, moved columns)
     # shapes that no member at n <= 6 has
-    assert bijections._beta(s.rows) == beta(s).rows
+    _check_compiled_relocation(s)
     assert stats(s) == _stats_by_helpers(s)
+
+
+@given(self_dual_fishburn_matrices(max_dim=12, max_entry=3))
+def test_compiled_fold_chain_and_parity_embedding_match_bodies_generated(m):
+    _check_compiled_fold(m)
+    _check_compiled_chain(m)
+    if m.dim % 2 == 0:
+        _check_compiled_parity_embedding(m)

@@ -1,6 +1,7 @@
 """Carrier type, family predicates, duality, reduction, and text format."""
 
 import hashlib
+import random
 from enum import IntEnum
 
 import pytest
@@ -41,6 +42,8 @@ from fishburn import (
     stats,
 )
 from fishburn.matrices import (
+    _gather,
+    _text_template,
     b_violation,
     expandable_violation,
     fishburn_violation,
@@ -357,6 +360,32 @@ def test_stats_match_accessor_reference(m):
 
 def test_format_golden():
     assert format_matrix(TriMatrix(((1, 0), (0, 2)))) == "2\n1 0\n0 2\n"
+
+
+def _joined_text(m):
+    # the text as one join per row, the format's definition
+    return "\n".join([str(m.dim)] + [" ".join(map(str, row)) for row in m.rows]) + "\n"
+
+
+def test_format_fills_the_joined_text_at_every_dimension():
+    rng = random.Random(18)
+    for d in range(1, 15):
+        for _ in range(5):
+            # entries of one to six digits, and zeros
+            m = TriMatrix(tuple(
+                tuple(0 if j < i else rng.choice((0, rng.randrange(10 ** rng.randint(1, 6))))
+                      for j in range(d))
+                for i in range(d)))
+            text = format_matrix(m)
+            assert text == _joined_text(m)
+            assert parse_matrix(text) == m
+
+
+def test_per_shape_caches_are_bounded():
+    # single calls bring a new shape per input, and a process may serve
+    # any number of them
+    assert _gather.cache_info().maxsize == 8192
+    assert _text_template.cache_info().maxsize == 64
 
 
 @given(upper_matrices())

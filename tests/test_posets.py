@@ -1,7 +1,9 @@
 """Poset carrier, interval-order detection, the matrix encoding, duality,
 and isomorphism classes, cross-checked against brute-force oracles."""
 
+import copy
 import itertools
+import pickle
 import time
 
 import pytest
@@ -178,19 +180,51 @@ def test_decoder_and_dual_build_trusted_posets(monkeypatch):
 
 
 def test_one_pass_sets_match_down_set_and_up_set():
-    for n in range(1, 6):
+    # the decoder stores masks read off the matrix, and the dual its
+    # input's masks swapped; both must be the masks one pass over the
+    # relation gives, and the sets the definition gives
+    for n in range(1, 7):
         for m in enumerate_family(FamilyTag.FISHBURN, n):
-            p = fishburn_to_poset(m)
-            downs, ups = _masks(p)
-            elements = range(1, p.n_elements + 1)
+            decoded = fishburn_to_poset(m)
+            for p in (decoded, dual_poset(decoded)):
+                downs, ups = _masks(p)
+                assert (downs, ups) == _masks(Poset._trusted(p.n_elements, p.relation)), m
+                elements = range(1, p.n_elements + 1)
 
-            def members(mask):
-                return frozenset(y for y in elements if mask >> (y - 1) & 1)
+                def members(mask):
+                    return frozenset(y for y in elements if mask >> (y - 1) & 1)
 
-            assert {x: members(downs[x - 1]) for x in elements} == \
-                {x: p.down_set(x) for x in elements}, m
-            assert {x: members(ups[x - 1]) for x in elements} == \
-                {x: p.up_set(x) for x in elements}, m
+                assert {x: members(downs[x - 1]) for x in elements} == \
+                    {x: p.down_set(x) for x in elements}, m
+                assert {x: members(ups[x - 1]) for x in elements} == \
+                    {x: p.up_set(x) for x in elements}, m
+
+
+def test_kept_masks_change_nothing_about_a_poset():
+    # the masks slot is no record field: a poset holding masks is the same
+    # value, with the same hash and repr, as one over the same relation
+    # without them, and copies and pickles carry the fields alone (a
+    # rebuilt frozenset may list its pairs in another order, so a copy's
+    # repr is checked against its own relation)
+    parsed = parse_poset("4\n1 2\n3 4\n1 4\n")
+    decoded = fishburn_to_poset(A5)
+    posets = [parsed, decoded, dual_poset(parsed), dual_poset(decoded)]
+    assert Poset.__slots__ == ("n_elements", "relation")
+    for p in posets:
+        bare = Poset._trusted(p.n_elements, p.relation)
+        before = hash(p)
+        downs, ups = _masks(p)
+        assert hash(p) == before == hash(bare)
+        assert p == bare and bare == p
+        assert repr(p) == repr(bare) == (
+            f"Poset(n_elements={p.n_elements!r}, relation={p.relation!r})")
+        for other in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert type(other) is Poset
+            assert other == p and hash(other) == hash(p)
+            assert repr(other) == (
+                f"Poset(n_elements={p.n_elements!r}, relation={other.relation!r})")
+            assert _masks(other) == (downs, ups)
+    assert dual_poset(dual_poset(decoded)) == decoded
 
 
 def test_encoder_builds_trusted_matrices(monkeypatch):
