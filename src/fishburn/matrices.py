@@ -260,12 +260,25 @@ def b_violation(m):
 
 
 def super_triangular_violation(m):
-    d = m.dim
-    for i, row in enumerate(m.rows, start=1):
+    rows = m.rows
+    d = len(rows)
+    # every SE cell zero, read at C speed; only a nonzero one is scanned
+    # for its first cell
+    if not any(_se_cells(d)(_flat(rows))):
+        return None
+    for i, row in enumerate(rows, start=1):
         for j in range(max(i, d + 2 - i), d + 1):
             if row[j - 1] != 0:
                 return f"SE cell ({i}, {j}) holds {row[j - 1]}, want 0"
     return None
+
+
+# one getter per dimension, kept like the text templates
+@lru_cache(maxsize=64)
+def _se_cells(d):
+    # the getter of the SE cells (0-based i + j >= d, on or above the main
+    # diagonal) of dimension-d rows, read over ``_flat``
+    return _getters([[1 + i * d + j for i in range(d) for j in range(max(i, d - i), d)]])[0]
 
 
 def _pairing_violation(m, rows):

@@ -11,26 +11,33 @@ and the encoding inverts exactly, which makes matrix enumeration double as
 interval-order enumeration up to isomorphism.
 
 Self-duality of a poset (isomorphism with its order reversal) is decided
-here by backtracking search, independently of the matrix mirror test, so
-the two notions can be compared rather than assumed to agree.
+here independently of the matrix mirror test, so the two notions can be
+compared rather than assumed to agree.  An isomorphism onto the reversal
+sends a twin class (elements with equal down-set and up-set) of profile
+(down-set size, up-set size) = (a, b) onto a class of profile (b, a).
+When each profile names one twin class, as in every interval order, that
+class map is the one candidate and is checked directly; other posets go
+to a backtracking search over element assignments.
 
-The relation is stored as a frozenset of pairs, but every kernel works on
-per-element down-set and up-set bitmasks (bit x - 1 stands for element
-x), which ``_masks`` derives in one pass over the pairs and keeps with
-the poset, in a slot that is no field of the record, so the constructor
-check and every later kernel on one poset share that pass.  The level
-chains sort distinct masks by popcount and test inclusion as
-``a & ~b == 0``; the self-duality search checks a candidate image with
-two mask comparisons; and twins, elements with equal masks, are
-interchangeable, so the search and ``canonical_form`` permute twin
-classes rather than elements.  The text boundary uses the same masks:
-``parse_poset`` closes the relation over up-set masks, and the public
-constructor checks transitivity as one mask inclusion per pair, the
-up-set of y inside that of x for x below y.  The decoder
-``fishburn_to_poset`` reads the masks off the matrix instead of the
-pairs: its row-major labels put the elements above any up-level in one
+Every kernel works on per-element down-set and up-set bitmasks (bit
+x - 1 stands for element x), which ``_masks`` derives in one pass over
+the relation and keeps with the poset, in a slot that is no field of the
+record, so the constructor check and every later kernel on one poset
+share that pass.  The level chains sort distinct masks by popcount and
+test inclusion as ``a & ~b == 0``; the forced candidate is checked as one
+mask comparison per twin class, and the search checks a candidate image
+with two; and twins are interchangeable, so the search and
+``canonical_form`` permute twin classes rather than elements.  The text
+boundary uses the same masks: ``parse_poset`` closes the relation over
+up-set masks, and the public constructor checks transitivity as one mask
+inclusion per pair, the up-set of y inside that of x for x below y.  The
+decoder ``fishburn_to_poset`` reads the masks off the matrix and builds
+no pairs: its row-major labels put the elements above any up-level in one
 suffix of the labels, and those below any level in the columns before
-it.  ``dual_poset`` keeps its input's masks, swapped.
+it.  ``dual_poset`` passes its input's masks on, swapped.  A poset built
+from masks alone builds its relation, a frozenset of pairs, from the
+up-set masks the first time ``relation`` is read; equality, hash, repr,
+copy and pickle read it like any field.
 """
 
 import itertools
@@ -75,8 +82,10 @@ class _MaskedRecord(_Record):
     __slots__ = ("_down_up",)
 
 
-# stores the masks of a poset past the frozen ``__setattr__``
+# store the masks of a poset past the frozen ``__setattr__``, and read
+# them without falling back to ``Poset.__getattr__`` when they are unset
 _set_down_up = _MaskedRecord._down_up.__set__
+_get_down_up = _MaskedRecord._down_up.__get__
 
 
 class Poset(_MaskedRecord):
@@ -87,7 +96,8 @@ class Poset(_MaskedRecord):
     validates irreflexivity and transitivity; antisymmetry follows from
     the two.  The posets the package builds itself, the images of
     ``fishburn_to_poset`` and ``dual_poset``, are built by ``_trusted``,
-    which skips that check.
+    which skips that check, and hold only their masks: their ``relation``
+    is built from the up-set masks the first time it is read.
     """
 
     __slots__ = ("n_elements", "relation")
@@ -96,13 +106,34 @@ class Poset(_MaskedRecord):
     def _trusted(cls, n_elements, relation, down_up=None):
         """A poset over ``relation`` without validation, for a relation the
         caller built to satisfy every condition ``__post_init__`` checks;
-        ``down_up``, when given, is what ``_masks`` would derive from it."""
+        ``down_up``, when given, is what ``_masks`` would derive from it.
+        With ``relation`` None, ``down_up`` must be given, and the relation
+        is left to ``__getattr__``."""
         p = object.__new__(cls)
         object.__setattr__(p, "n_elements", n_elements)
-        object.__setattr__(p, "relation", relation)
+        if relation is not None:
+            object.__setattr__(p, "relation", relation)
         if down_up is not None:
             _set_down_up(p, down_up)
         return p
+
+    def __getattr__(self, name):
+        # reached only when the usual lookup fails: for an unset
+        # ``relation`` slot, whose pairs the up-set masks list, and for a
+        # name the poset does not have
+        if name != "relation":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}",
+                name=name, obj=self)
+        pairs = []
+        for x, up in enumerate(_get_down_up(self)[1], start=1):
+            while up:
+                low = up & -up
+                pairs.append((x, low.bit_length()))
+                up ^= low
+        relation = frozenset(pairs)
+        object.__setattr__(self, "relation", relation)
+        return relation
 
     def __post_init__(self):
         n = self.n_elements
@@ -166,7 +197,7 @@ def _masks(p):
     each tuple holds element x's set, in which bit y - 1 stands for
     element y."""
     try:
-        return p._down_up
+        return _get_down_up(p)
     except AttributeError:
         pass
     n = p.n_elements
@@ -242,12 +273,13 @@ def fishburn_to_poset(m):
     Cell (i, j) contributes entry-many elements labeled consecutively in
     row-major cell order, and an element finishing at up-level j precedes
     every element starting at a level above j.  Row-major labels make those
-    a suffix, the labels from the first one of row j + 1 on, so each cell
-    pairs its labels with one suffix.  That relation is an order as built,
-    irreflexive since ia <= ja and transitive since ja < ib <= jb < ic, so
-    the poset skips the constructor's check.  The masks come from the
-    same labels: a cell's up-set is its suffix, and the down-set of a
-    level i element holds every label in the columns before i.
+    a suffix, the labels from the first one of row j + 1 on, so each cell's
+    up-set is one suffix, and the down-set of a level i element holds every
+    label in the columns before i.  The poset holds those masks alone; its
+    relation, each cell's labels paired with its suffix, is built when
+    first read.  That relation is an order as built, irreflexive since
+    ia <= ja and transitive since ja < ib <= jb < ic, so the poset skips
+    the constructor's check.
     """
     require(fishburn_violation, NotFishburn, m)
     rows = m.rows
@@ -259,7 +291,6 @@ def fishburn_to_poset(m):
     top = 1 << (end - 1)
     # below[c] is the mask of the labels in the first c columns
     below = [0] * (d + 1)
-    pairs = []
     downs = []
     ups = []
     label = 1
@@ -267,16 +298,13 @@ def fishburn_to_poset(m):
         for j in range(i, d):
             count = row[j]
             if count:
-                start = starts[j + 1]
-                pairs.extend(itertools.product(range(label, label + count),
-                                               range(start, end)))
-                ups += [top - (1 << (start - 1))] * count
+                ups += [top - (1 << (starts[j + 1] - 1))] * count
                 below[j + 1] |= (1 << (label + count - 1)) - (1 << (label - 1))
                 label += count
         downs += [below[i]] * (starts[i + 1] - starts[i])
         # no later row reaches column i + 1, so its labels are all in
         below[i + 1] |= below[i]
-    return Poset._trusted(end - 1, frozenset(pairs), (tuple(downs), tuple(ups)))
+    return Poset._trusted(end - 1, None, (tuple(downs), tuple(ups)))
 
 
 # --- duality -------------------------------------------------------------------------
@@ -284,11 +312,9 @@ def fishburn_to_poset(m):
 
 def dual_poset(p):
     """Reverse the order; an involution, and the reversal of a valid order
-    is one.  Masks the input holds go to the image with downs and ups
-    exchanged."""
-    down_up = getattr(p, "_down_up", None)
-    return Poset._trusted(p.n_elements, frozenset((y, x) for x, y in p.relation),
-                          None if down_up is None else down_up[::-1])
+    is one.  The image holds its input's masks with downs and ups
+    exchanged, and builds its relation when first read."""
+    return Poset._trusted(p.n_elements, None, _masks(p)[::-1])
 
 
 def _twin_classes(downs, ups):
@@ -302,6 +328,50 @@ def _twin_classes(downs, ups):
 
 
 def is_self_dual_poset(p):
+    """Decide isomorphism between the poset and its reversal.
+
+    An isomorphism onto the reversal sends a twin class whose elements have
+    profile (down-set size, up-set size) = (a, b) onto a class of profile
+    (b, a).  When each profile names one twin class, as in an interval
+    order, whose down-sets and up-sets form chains, that class map is the
+    only candidate: it pairs the classes twin by twin, and it is an
+    isomorphism exactly when the classes it pairs have equal sizes and
+    every class's up-set maps onto its image's down-set.  (Down-sets need
+    no check of their own: for a bijection f, y in up(x) iff f(y) in
+    down(f(x)) says x < y iff f(y) < f(x).)  Other posets go to
+    ``_self_dual_by_search``.  Neither reads the matrix encoding.
+    """
+    downs, ups = _masks(p)
+    # the members of each twin class as one mask
+    members = {}
+    for x, key in enumerate(zip(downs, ups)):
+        members[key] = members.get(key, 0) | 1 << x
+    by_profile = {(down.bit_count(), up.bit_count()): (down, up) for down, up in members}
+    if len(by_profile) < len(members):
+        return _self_dual_by_search(p)
+    # each class with its image: their members, the class's up-set and the
+    # image's down-set
+    pairs = []
+    for (a, b), (down, up) in by_profile.items():
+        target = by_profile.get((b, a))
+        if target is None:
+            return False
+        mask, image = members[down, up], members[target]
+        if mask.bit_count() != image.bit_count():
+            return False
+        pairs.append((mask, image, up, target[0]))
+    # an up-set is a union of twin classes, and its image the union of theirs
+    for _, _, up, target_down in pairs:
+        mapped = 0
+        for mask, image, _, _ in pairs:
+            if mask & up:
+                mapped |= image
+        if mapped != target_down:
+            return False
+    return True
+
+
+def _self_dual_by_search(p):
     """Decide isomorphism between the poset and its reversal by backtracking
     over element assignments, pruning on (down-set size, up-set size).
 

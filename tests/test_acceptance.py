@@ -23,6 +23,7 @@ from fishburn import (
 )
 from fishburn.enumeration import IDENTITIES, verify_identities
 from fishburn.matrices import selfdual_violation
+from fishburn.posets import _self_dual_by_search
 from oracles import (
     all_posets,
     brute_canonical,
@@ -137,7 +138,9 @@ def test_criterion_7_poset_leg_to_size_5():
             for m in matrices:
                 p = fishburn_to_poset(m)
                 assert poset_to_fishburn(p) == m
-                assert is_self_dual_poset(p) == (selfdual_violation(m) is None)
+                self_dual = is_self_dual_poset(p)
+                assert self_dual == (selfdual_violation(m) is None)
+                assert self_dual == _self_dual_by_search(p)
         # independent cross-check: enumerate every poset and count the
         # isomorphism classes of the interval orders among them
         for n in range(1, 5):

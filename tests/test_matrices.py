@@ -43,6 +43,7 @@ from fishburn import (
 )
 from fishburn.matrices import (
     _gather,
+    _se_cells,
     _text_template,
     b_violation,
     expandable_violation,
@@ -212,6 +213,25 @@ def test_super_triangular_predicate():
     assert super_triangular_violation(R5) is None
     msg = super_triangular_violation(A5)
     assert msg == "SE cell (3, 4) holds 1, want 0"
+
+
+def test_super_triangular_names_the_first_se_cell_at_every_dimension():
+    # the accept path reads every SE cell at once; a matrix with one or two
+    # nonzero cells, SE or not, gets the verdict of the cell-by-cell walk
+    rng = random.Random(19)
+    for d in range(1, 13):
+        upper = [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
+        for cells in [[]] + [[c] for c in upper] + [rng.sample(upper, min(2, len(upper)))
+                                                  for _ in range(20)]:
+            g = [[0] * d for _ in range(d)]
+            for i, j in cells:
+                g[i - 1][j - 1] = rng.randint(1, 9)
+            se = sorted((i, j) for i, j in cells if i + j > d + 1)
+            want = None
+            if se:
+                i, j = se[0]
+                want = f"SE cell ({i}, {j}) holds {g[i - 1][j - 1]}, want 0"
+            assert super_triangular_violation(TriMatrix(tuple(map(tuple, g)))) == want
 
 
 def test_sm_predicate():
@@ -386,6 +406,7 @@ def test_per_shape_caches_are_bounded():
     # any number of them
     assert _gather.cache_info().maxsize == 8192
     assert _text_template.cache_info().maxsize == 64
+    assert _se_cells.cache_info().maxsize == 64
 
 
 @given(upper_matrices())

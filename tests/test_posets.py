@@ -29,13 +29,19 @@ from fishburn import (
     reduced_size,
     reduced_size_of_interval_order,
 )
+from fishburn import matrices, posets
 from fishburn.matrices import selfdual_violation
-from fishburn.posets import _masks
+from fishburn.posets import _masks, _self_dual_by_search
 from matrix_strategies import fishburn_matrices
 from oracles import all_posets, brute_canonical, no_two_plus_two
 from vectors import A5, INTERVAL_ORDER_COUNTS, POSET_MATRIX, POSET_RELATION
 
 TWO_PLUS_TWO = Poset(4, frozenset({(1, 2), (3, 4)}))
+
+
+def fishburn_members(max_size):
+    return [m for n in range(1, max_size + 1)
+            for m in enumerate_family(FamilyTag.FISHBURN, n)]
 
 
 def relabeled(p, mapping):
@@ -227,6 +233,91 @@ def test_kept_masks_change_nothing_about_a_poset():
     assert dual_poset(dual_poset(decoded)) == decoded
 
 
+def label_suffix_pairs(m):
+    """The relation the decoder once built eagerly: each cell's row-major
+    labels paired with the labels from the first one of row j + 1 on, in
+    the order those pairs were listed."""
+    rows = m.rows
+    starts = list(itertools.accumulate(map(sum, rows), initial=1))
+    pairs = []
+    label = 1
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            count = row[j]
+            pairs.extend(itertools.product(range(label, label + count),
+                                           range(starts[j + 1], starts[-1])))
+            label += count
+    return frozenset(pairs)
+
+
+def relation_unset(p):
+    # the slot itself, bypassing the ``__getattr__`` that would fill it
+    try:
+        Poset.__dict__["relation"].__get__(p)
+    except AttributeError:
+        return True
+    return False
+
+
+def test_lazy_relation_equals_the_label_suffix_pairs():
+    for m in fishburn_members(7):
+        p = fishburn_to_poset(m)
+        assert relation_unset(p)
+        relation = p.relation
+        assert not relation_unset(p) and p.relation is relation
+        assert relation == label_suffix_pairs(m), m
+        assert Poset(p.n_elements, relation) == p
+
+
+def test_lazy_and_eager_posets_agree():
+    # a decoded poset builds its relation on first read, through whichever
+    # of these reads it; an eager one holds the same pairs from the start
+    reads = [
+        lambda p: p,
+        hash,
+        repr,
+        lambda p: pickle.loads(pickle.dumps(p)),
+        copy.copy,
+        copy.deepcopy,
+        lambda p: [(x, y, p.less(x, y)) for x in range(1, p.n_elements + 1)
+                   for y in range(1, p.n_elements + 1)],
+        lambda p: [p.down_set(x) for x in range(1, p.n_elements + 1)],
+        lambda p: [p.up_set(x) for x in range(1, p.n_elements + 1)],
+        format_poset,
+        canonical_form,
+        dual_poset,
+        lambda p: dual_poset(p).relation,
+    ]
+    for m in fishburn_members(5) + [A5, POSET_MATRIX]:
+        eager = Poset(sum(map(sum, m.rows)), label_suffix_pairs(m))
+        for read in reads:
+            lazy = fishburn_to_poset(m)
+            assert read(lazy) == read(eager), m
+        assert eager == fishburn_to_poset(m) and fishburn_to_poset(m) == eager
+
+
+def test_poset_leg_leaves_the_relation_unset():
+    for m in fishburn_members(6):
+        p = fishburn_to_poset(m)
+        is_self_dual_poset(p)
+        assert poset_to_fishburn(p) == m
+        q = dual_poset(p)
+        is_self_dual_poset(q)
+        poset_to_fishburn(q)
+        assert relation_unset(p) and relation_unset(q), m
+        assert is_interval_order(p) and relation_unset(p)
+
+
+def test_missing_names_raise_the_usual_error():
+    for p in (fishburn_to_poset(A5), Poset(4, POSET_RELATION)):
+        with pytest.raises(AttributeError) as caught:
+            p.no_such_name
+        assert str(caught.value) == "'Poset' object has no attribute 'no_such_name'"
+        assert caught.value.name == "no_such_name" and caught.value.obj is p
+        assert not hasattr(p, "no_such_name")
+        assert getattr(p, "no_such_name", 5) == 5
+
+
 def test_encoder_builds_trusted_matrices(monkeypatch):
     # the encoding is upper-triangular as built, so the per-cell check of the
     # public matrix constructor is skipped, yet the result is the same
@@ -295,9 +386,19 @@ def test_self_duality_is_isomorphism_invariant():
             assert is_self_dual_poset(relabeled(p, mapping)) == value
 
 
-def test_self_duality_matches_canonical_forms_on_every_small_poset():
+def test_self_duality_matches_canonical_forms_on_every_small_poset(monkeypatch):
     # every labeled poset up to five elements, interval orders or not; the
-    # search and the canonical form share no code path through the matrix
+    # forced check, the search and the canonical form share no code path
+    # through the matrix.  The posets in which some profile holds two twin
+    # classes take the search, the rest the forced candidate, and both
+    # kinds occur
+    searched = []
+
+    def counting(p):
+        searched.append(p)
+        return _self_dual_by_search(p)
+
+    monkeypatch.setattr(posets, "_self_dual_by_search", counting)
     total = 0
     for n in range(1, 6):
         for p in all_posets(n):
@@ -305,12 +406,48 @@ def test_self_duality_matches_canonical_forms_on_every_small_poset():
             assert is_self_dual_poset(p) == \
                 (canonical_form(p) == canonical_form(dual_poset(p))), p
     assert total == 4473
+    assert (total - len(searched), len(searched)) == (3801, 672)
+
+
+def test_forced_class_map_must_pair_equal_sizes():
+    # a crown of twin classes: bottom class i (sizes 1, 2, 3, 3) lies below
+    # top classes i and i + 1 mod 4 (sizes 1, 2, 2, 4).  Every profile
+    # names one class and the forced class map reverses the crown, but it
+    # pairs classes of unequal sizes, so no isomorphism onto the reversal
+    # exists
+    bottoms = [i for i, size in enumerate((1, 2, 3, 3)) for _ in range(size)]
+    tops = [j for j, size in enumerate((1, 2, 2, 4)) for _ in range(size)]
+    below = len(bottoms)
+    p = Poset(below + len(tops), frozenset(
+        (x, below + y) for x, i in enumerate(bottoms, start=1)
+        for y, j in enumerate(tops, start=1) if j in (i, (i + 1) % 4)))
+    assert not is_self_dual_poset(p)
+    assert not _self_dual_by_search(p)
+    assert canonical_form(p) != canonical_form(dual_poset(p))
+
+
+def test_forced_candidate_matches_search_on_interval_orders():
+    for m in fishburn_members(7):
+        p = fishburn_to_poset(m)
+        assert is_self_dual_poset(p) == _self_dual_by_search(p), m
+
+
+def test_self_duality_reads_no_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("self-duality read the matrix encoding")
+
+    monkeypatch.setattr(posets, "poset_to_fishburn", refuse)
+    monkeypatch.setattr(matrices, "selfdual_violation", refuse)
+    monkeypatch.setattr(matrices, "_dual_rows", refuse)
+    for m in fishburn_members(5):
+        is_self_dual_poset(fishburn_to_poset(m))
+    for p in all_posets(4):
+        is_self_dual_poset(p)
 
 
 def test_poset_self_duality_matches_matrix_self_duality():
-    for n in range(1, 5):
-        for m in enumerate_family(FamilyTag.FISHBURN, n):
-            assert is_self_dual_poset(fishburn_to_poset(m)) == (selfdual_violation(m) is None)
+    for m in fishburn_members(7):
+        assert is_self_dual_poset(fishburn_to_poset(m)) == (selfdual_violation(m) is None)
 
 
 # --- isomorphism classes ----------------------------------------------------------
