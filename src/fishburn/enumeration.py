@@ -16,7 +16,8 @@ sequence.  The unpruned composition scan lives in the test suite as an
 independent oracle.
 
 Both paths read one plan per dimension, the free cells and their lines
-numbered once in ``_lines``, and walk it by ``_moves``.
+numbered once in ``_lines``, and walk it by ``_moves``.  Their free cells
+and the cells each family's key sums (``_KEYS``) come from ``_cells``.
 ``enumerate_family``, which the identity checker uses, first keeps the
 states that can still reach (0, 0), so its depth-first walk enters no
 branch without a member and yields members only; every matrix built from
@@ -36,7 +37,7 @@ Legs run over row tuples: a member is its rows, or (rows, flag) for a
 signed matrix, each map is its unchecked body, read from ``bijections``
 when the pass starts, and a witness becomes a ``TriMatrix`` only when a
 leg fails.  The identities at one size share one pass, which builds each
-family's statistics and each chain image once.
+family's refinement keys, which the legs slice, and each chain image once.
 
 Only the records this module defines values with come in at import time,
 from ``records``: ``matrices`` and ``bijections`` load on first use, in
@@ -47,8 +48,9 @@ so a ``count`` run, which needs neither, loads neither.
 from collections import Counter
 from enum import Enum
 from functools import cache, lru_cache
+from operator import attrgetter
 
-from .records import Parity, _Record
+from .records import Parity, _cells, _Record
 
 # --- family tags -------------------------------------------------------------
 
@@ -99,15 +101,6 @@ def family_size(family, m):
 
 
 # --- generators --------------------------------------------------------------
-
-
-def _upper_cells(d):
-    return tuple((i, j) for i in range(1, d + 1) for j in range(i, d + 1))
-
-
-def _non_se_cells(d):
-    return tuple((i, j) for i in range(1, d + 1) for j in range(i, d + 1)
-                 if i + j <= d + 1)
 
 
 def _lines(cells, need_rows, need_cols, need_pairs=()):
@@ -241,7 +234,7 @@ def _plan(family, n):
         sm = family is FamilyTag.SM
         for d in range(1, 2 * n + 2, 2) if sm else range(1, 2 * n + 1):
             h = (d - 1) // 2 if sm else (d + 1) // 2
-            cells = _non_se_cells(d)
+            cells = _cells(d)["half"]
             pairs = [(i, d + 1 - i) for i in range(1, h + 1)]
             yield d, cells, _lines(cells, (), range(1, h + 1), pairs)
         return
@@ -249,7 +242,7 @@ def _plan(family, n):
     # reach dimension n + 1; fishburn also needs every column nonzero
     first = 2 if family is FamilyTag.B else 1
     for d in range(1, n + first):
-        cells = _upper_cells(d)
+        cells = _cells(d)["upper"]
         rows = range(first, d + 1)
         yield d, cells, _lines(cells, rows, rows if family is FamilyTag.FISHBURN else ())
 
@@ -277,28 +270,32 @@ def enumerate_family(family, n):
 _PARITY_ORDER = {Parity.EVEN: 0, Parity.ODD: 1, Parity.ANY: 2}
 
 
-def _key_cells(family, d):
-    """(k cells, p cells, parity) of the family's key at dimension d.
-    FISHBURN and SELF_DUAL: first row, diagonal cells (i, d + 1 - i) on or
-    above the main diagonal, dimension parity; RM and B: last column, first
-    row; SM: first row, center column (none for an even d).  First row,
-    diagonal cells and center column lie in the NW-plus-diagonal half."""
-    first_row = [(1, j) for j in range(1, d + 1)]
-    h = (d + 1) // 2
-    if family is FamilyTag.SM:
-        return first_row, [(i, h) for i in range(1, h + 1)] if d % 2 else [], Parity.ANY
-    if family is FamilyTag.RM or family is FamilyTag.B:
-        return [(i, d) for i in range(1, d + 1)], first_row, Parity.ANY
-    parity = Parity.ODD if d % 2 else Parity.EVEN
-    return first_row, [(i, d + 1 - i) for i in range(1, h + 1)], parity
+# each family's refinement key (k, p, parity): the cell sets of ``_cells``
+# that k and p sum, each the field of ``stats`` named after it, and whether
+# parity is the dimension's or ``Parity.ANY``
+_KEYS = {
+    FamilyTag.FISHBURN: ("first_row", "diag", True),
+    FamilyTag.SELF_DUAL: ("first_row", "diag", True),
+    FamilyTag.RM: ("last_col", "first_row", False),
+    FamilyTag.B: ("last_col", "first_row", False),
+    FamilyTag.SM: ("first_row", "center_col", False),
+}
+
+
+def _key_of(family):
+    """The family's refinement key as a function of a member's ``stats``."""
+    if not isinstance(family, FamilyTag):
+        raise ValueError(f"unknown family {family!r}")
+    k, p, by_parity = _KEYS[family]
+    get = attrgetter(f"{k}_sum", f"{p}_sum")
+    return lambda st: (*get(st), st.dim_parity if by_parity else Parity.ANY)
 
 
 def refinement_key(family, m):
-    """(k, p, parity) cell key for one member; see ``_key_cells``."""
-    rows = m.rows
-    k, p, parity = _key_cells(family, len(rows))
-    return (sum(rows[i - 1][j - 1] for i, j in k),
-            sum(rows[i - 1][j - 1] for i, j in p), parity)
+    """(k, p, parity) key of one member, its family's projection of ``stats``."""
+    from .matrices import stats
+
+    return _key_of(family)(stats(m))
 
 
 class CountTable(_Record):
@@ -374,13 +371,14 @@ def count_refined(family, n):
     """The refined count table: the number of members per
     ``refinement_key``, tallied dimension by dimension by ``_tally`` over the
     lines the walk fills, so no member is listed or built.  Every key cell
-    of a ``self_dual`` member lies in its walked half."""
+    of a ``self_dual`` or ``sm`` member lies in its walked half."""
     cells = Counter()
     for d, free, lines in _plan(family, n):
+        k_set, p_set, by_parity = _KEYS[family]
+        parity = (Parity.ODD if d % 2 else Parity.EVEN) if by_parity else Parity.ANY
         position = {cell: t for t, cell in enumerate(free)}
-        k_cells, p_cells, parity = _key_cells(family, d)
-        table = _tally(n, *lines, {position[cell] for cell in k_cells},
-                       {position[cell] for cell in p_cells})
+        table = _tally(n, *lines, {position[cell] for cell in _cells(d)[k_set]},
+                       {position[cell] for cell in _cells(d)[p_set]})
         cells.update({(k, p, parity): count for (k, p), count in table.items()})
     return CountTable(family=family, n=n, cells=dict(cells), total=sum(cells.values()))
 
@@ -445,21 +443,22 @@ def _check_leg(leg):
     return None
 
 
-def _spec(identity, n, with_stats, chain):
+def _spec(identity, n, keyed, chain):
     """(count tables that must agree, transport legs, passing detail) for
-    one identity at size n.  eq1, eq2 and eq3 map slices of the self-dual
-    family through the chain into rm x {1}, rm x {0} and rm x {0, 1}; eq4
-    embeds rm x {0, 1} into b; eq8 sends the even half of the self-dual
-    family into the zero-center slice of sm and that slice on into rm."""
+    one identity at size n, reading each family's members with their
+    refinement keys from ``keyed``.  eq1, eq2 and eq3 map slices of the
+    self-dual family through the chain into rm x {1}, rm x {0} and
+    rm x {0, 1}; eq4 embeds rm x {0, 1} into b; eq8 sends the even half of
+    the self-dual family into the zero-center slice of sm and that slice
+    on into rm."""
     from .bijections import _beta, _embed, _embed_even, _project
 
     if identity == "eq8":
-        selfdual = with_stats(FamilyTag.SELF_DUAL)
-        even = [(m, st.first_row_sum) for m, st in selfdual if st.dim % 2 == 0]
-        odd = [(m, st.first_row_sum) for m, st in selfdual if st.dim % 2 == 1]
-        rm_k = {r: st.last_col_sum for r, st in with_stats(FamilyTag.RM)}
-        zero_center = {s: st.first_row_sum for s, st in with_stats(FamilyTag.SM)
-                       if st.center_col_sum == 0}
+        selfdual = keyed(FamilyTag.SELF_DUAL)
+        even = [(m, k) for m, (k, _, parity) in selfdual if parity is Parity.EVEN]
+        odd = [(m, k) for m, (k, _, parity) in selfdual if parity is Parity.ODD]
+        rm_k = {r: k for r, (k, _, _) in keyed(FamilyTag.RM)}
+        zero_center = {s: k for s, (k, p, _) in keyed(FamilyTag.SM) if p == 0}
         tables = [Counter(k for _, k in even), Counter(k for _, k in odd),
                   Counter(rm_k.values())]
         legs = [_Leg("the parity embedding", even, _embed_even, zero_center),
@@ -470,18 +469,15 @@ def _spec(identity, n, with_stats, chain):
     rm = [r.rows for r in enumerate_family(FamilyTag.RM, n)]
     if identity == "eq1":
         leg = _Leg("the map chain on the zero-sum slice",
-                   [(m, st.first_row_sum)
-                    for m, st in with_stats(FamilyTag.SELF_DUAL) if st.diag_sum == 0],
+                   [(m, k) for m, (k, p, _) in keyed(FamilyTag.SELF_DUAL) if p == 0],
                    chain,
-                   {(r, 1): st.last_col_sum for r, st in with_stats(FamilyTag.RM)})
+                   {(r, 1): k for r, (k, _, _) in keyed(FamilyTag.RM)})
         classes = "first-row classes"
     elif identity == "eq2":
         leg = _Leg("the map chain on the positive-sum slice",
-                   [(m, (st.first_row_sum, st.diag_sum))
-                    for m, st in with_stats(FamilyTag.SELF_DUAL) if st.diag_sum >= 1],
+                   [(m, (k, p)) for m, (k, p, _) in keyed(FamilyTag.SELF_DUAL) if p >= 1],
                    chain,
-                   {(r, 0): (st.last_col_sum, st.first_row_sum)
-                    for r, st in with_stats(FamilyTag.RM)})
+                   {(r, 0): (k, p) for r, (k, p, _) in keyed(FamilyTag.RM)})
         classes = "refined classes"
     elif identity == "eq3":
         leg = _Leg("the full map chain",
@@ -514,12 +510,14 @@ def verify_identities(identities, n):
     from .bijections import _chain
     from .matrices import stats
 
+    def keyed(family):
+        key = _key_of(family)
+        return [(m.rows, key(stats(m))) for m in enumerate_family(family, n)]
+
     # shared by the pass, each built on first use and dropped with the pass:
-    # each family's rows with their statistics, and each self-dual member's
-    # chain image, which eq1, eq2 and eq3 all read
-    with_stats = cache(lambda family: [(m.rows, stats(m))
-                                       for m in enumerate_family(family, n)])
-    pieces = (with_stats, cache(_chain))
+    # each family's rows with their refinement keys, and each self-dual
+    # member's chain image, which eq1, eq2 and eq3 all read
+    pieces = (cache(keyed), cache(_chain))
     return [_verify(identity, n, *_spec(identity, n, *pieces)) for identity in identities]
 
 

@@ -24,13 +24,17 @@ this module.
 A private body that only places cells and inserts zeros, whatever their
 values, can be compiled by ``_gather`` into one cached getter per output
 row, which the verify pass, the generator walk and the public maps apply
-to every matrix of one shape.  ``format_matrix`` likewise keeps one text
-template per dimension and fills it from the cells in row-major order.
+to every matrix of one shape.  The cell sets the statistics sum, and the SE
+cells, are defined once, in ``records._cells``; ``_cell_getters`` keeps one
+getter per set and dimension, which ``stats``, ``reduced_size`` and
+``super_triangular_violation`` read.  ``format_matrix`` likewise keeps one
+text template per dimension and fills it from the cells in row-major order.
 """
 
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
+from types import MappingProxyType
 
 # the shared records; those this module does not use are kept as its names
 from .records import (
@@ -47,6 +51,7 @@ from .records import (
     OddDimension,
     Parity,
     ParseError,
+    _cells,
     _Record,
 )
 
@@ -220,14 +225,11 @@ def selfdual_violation(m):
     if _dual_rows(rows) == rows:
         return None
     d = len(rows)
-    for i, row in enumerate(rows, start=1):
-        mirror_col = d - i
-        for j in range(i, d + 1):
-            a = row[j - 1]
-            b = rows[d - j][mirror_col]
-            if a != b:
-                return (f"cell ({i}, {j}) holds {a} but its mirror "
-                        f"({d + 1 - j}, {d + 1 - i}) holds {b}")
+    for i, j in _cells(d)["upper"]:
+        a, b = rows[i - 1][j - 1], rows[d - j][d - i]
+        if a != b:
+            return (f"cell ({i}, {j}) holds {a} but its mirror "
+                    f"({d + 1 - j}, {d + 1 - i}) holds {b}")
     return None
 
 
@@ -264,21 +266,12 @@ def super_triangular_violation(m):
     d = len(rows)
     # every SE cell zero, read at C speed; only a nonzero one is scanned
     # for its first cell
-    if not any(_se_cells(d)(_flat(rows))):
+    if not any(_cell_getters(d)["se"](_flat(rows))):
         return None
-    for i, row in enumerate(rows, start=1):
-        for j in range(max(i, d + 2 - i), d + 1):
-            if row[j - 1] != 0:
-                return f"SE cell ({i}, {j}) holds {row[j - 1]}, want 0"
+    for i, j in _cells(d)["se"]:
+        if rows[i - 1][j - 1] != 0:
+            return f"SE cell ({i}, {j}) holds {rows[i - 1][j - 1]}, want 0"
     return None
-
-
-# one getter per dimension, kept like the text templates
-@lru_cache(maxsize=64)
-def _se_cells(d):
-    # the getter of the SE cells (0-based i + j >= d, on or above the main
-    # diagonal) of dimension-d rows, read over ``_flat``
-    return _getters([[1 + i * d + j for i in range(d) for j in range(max(i, d - i), d)]])[0]
 
 
 def _pairing_violation(m, rows):
@@ -334,7 +327,7 @@ def reduced_size(m):
     """Sum over NW and diagonal cells.  Rejects non-self-dual input, where
     the quantity would depend on which half of the matrix is kept."""
     require(selfdual_violation, NotSelfDual, m)
-    return sum(_nw_diag_cells(m.rows))
+    return sum(_cell_getters(m.dim)["half"](_flat(m.rows)))
 
 
 def reduce(m):
@@ -413,38 +406,15 @@ def _place(getters, flat):
 
 
 # --- statistics ------------------------------------------------------------
-# A summed statistic is defined by the cells it sums: one helper per
-# statistic lists them from the row tuples of a matrix, and ``stats`` reads
-# the same cells through ``_gather``.  The refinement keys sum the same
-# cells, as ``enumeration._key_cells`` lists.
+# A summed statistic is the sum over one cell set of ``records._cells``.
 
 
-def _nw_diag_cells(rows):
-    """The cells (i, j) with i + j <= m + 1."""
-    d = len(rows)
-    return tuple(chain.from_iterable(row[:d - i] for i, row in enumerate(rows)))
-
-
-def _diag_cells(rows):
-    """The diagonal cells (i, m + 1 - i) on or above the main diagonal."""
-    d = len(rows)
-    return tuple(rows[i][d - 1 - i] for i in range((d + 1) // 2))
-
-
-def _center_cells(rows):
-    """The center column, none for an even dimension."""
-    d = len(rows)
-    return tuple(row[d // 2] for row in rows) if d % 2 else ()
-
-
-def _last_col_cells(rows):
-    return tuple(row[-1] for row in rows)
-
-
-def _stat_cells(rows):
-    # the cells whose sums ``stats`` reports, in its field order
-    return (_nw_diag_cells(rows), _diag_cells(rows), _center_cells(rows),
-            _last_col_cells(rows))
+@lru_cache(maxsize=64)
+def _cell_getters(d):
+    """The getter of each cell set of ``_cells(d)``, by name, over ``_flat``."""
+    named = _cells(d)
+    return MappingProxyType(dict(zip(named, _getters(
+        [[1 + (i - 1) * d + j - 1 for i, j in cells] for cells in named.values()]))))
 
 
 def stats(m):
@@ -452,10 +422,10 @@ def stats(m):
     rows = m.rows
     d = len(rows)
     flat = _flat(rows)
-    nw_diag, diag, center, last = _gather(_stat_cells, d)
-    return StatVector(sum(flat), sum(nw_diag(flat)), sum(rows[0]), sum(diag(flat)),
-                      sum(center(flat)), sum(last(flat)), d,
-                      Parity.ODD if d % 2 else Parity.EVEN)
+    get = _cell_getters(d)
+    return StatVector(sum(flat), sum(get["half"](flat)), sum(get["first_row"](flat)),
+                      sum(get["diag"](flat)), sum(get["center_col"](flat)),
+                      sum(get["last_col"](flat)), d, Parity.ODD if d % 2 else Parity.EVEN)
 
 
 # --- text format -----------------------------------------------------------

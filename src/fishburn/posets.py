@@ -37,7 +37,8 @@ suffix of the labels, and those below any level in the columns before
 it.  ``dual_poset`` passes its input's masks on, swapped.  A poset built
 from masks alone builds its relation, a frozenset of pairs, from the
 up-set masks the first time ``relation`` is read; equality, hash, repr,
-copy and pickle read it like any field.
+copy and pickle read it like any field, while ``less``, ``down_set`` and
+``up_set`` answer from the masks, and what is no element relates to nothing.
 """
 
 import itertools
@@ -125,13 +126,8 @@ class Poset(_MaskedRecord):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}",
                 name=name, obj=self)
-        pairs = []
-        for x, up in enumerate(_get_down_up(self)[1], start=1):
-            while up:
-                low = up & -up
-                pairs.append((x, low.bit_length()))
-                up ^= low
-        relation = frozenset(pairs)
+        relation = frozenset((x, y) for x, up in enumerate(_get_down_up(self)[1], start=1)
+                             for y in _elements(up))
         object.__setattr__(self, "relation", relation)
         return relation
 
@@ -142,9 +138,7 @@ class Poset(_MaskedRecord):
         if n < 1:
             raise ValueError("a poset needs at least one element")
         for x, y in self.relation:
-            # a bool or a float such as 1.5 is no element, even where it
-            # compares equal to one
-            if not (_is_int(x) and _is_int(y) and 1 <= x <= n and 1 <= y <= n):
+            if not (self._is_element(x) and self._is_element(y)):
                 raise ValueError(f"pair ({x}, {y}) outside elements 1..{n}")
             if x == y:
                 raise ValueError(f"relation is not irreflexive at element {x}")
@@ -158,16 +152,21 @@ class Poset(_MaskedRecord):
                     f"relation is not transitive: ({x}, {y}) and ({y}, {w}) "
                     f"without ({x}, {w})")
 
+    def _is_element(self, x):
+        # a bool or a float such as 1.5 is no element, even where it
+        # compares equal to one
+        return _is_int(x) and 1 <= x <= self.n_elements
+
+
     def less(self, x, y):
-        return (x, y) in self.relation
+        return (self._is_element(x) and self._is_element(y)
+                and bool(_masks(self)[1][x - 1] >> (y - 1) & 1))
 
     def down_set(self, x):
-        return frozenset(z for z in range(1, self.n_elements + 1)
-                         if (z, x) in self.relation)
+        return frozenset(_elements(_masks(self)[0][x - 1]) if self._is_element(x) else ())
 
     def up_set(self, x):
-        return frozenset(z for z in range(1, self.n_elements + 1)
-                         if (x, z) in self.relation)
+        return frozenset(_elements(_masks(self)[1][x - 1]) if self._is_element(x) else ())
 
 
 class LevelDecomposition(_Record):
@@ -210,6 +209,16 @@ def _masks(p):
     down_up = (tuple(downs[1:]), tuple(ups[1:]))
     _set_down_up(p, down_up)
     return down_up
+
+
+def _elements(mask):
+    """The elements whose bits ``mask`` sets, ascending."""
+    elements = []
+    while mask:
+        low = mask & -mask
+        elements.append(low.bit_length())
+        mask ^= low
+    return elements
 
 
 def _chain(masks):
@@ -402,10 +411,8 @@ def _self_dual_by_search(p):
         # x's down-neighbours gain (or lose) the image y above them, and its
         # up-neighbours the image y below them
         for images, neighbours in ((images_above, downs[x]), (images_below, ups[x])):
-            while neighbours:
-                z = neighbours & -neighbours
-                images[z.bit_length() - 1] ^= y
-                neighbours ^= z
+            for z in _elements(neighbours):
+                images[z - 1] ^= y
 
     def extend(idx, used):
         if idx == n:
@@ -534,8 +541,7 @@ def parse_poset(text):
     for x in range(1, n + 1):
         if ups[x] >> (x - 1) & 1:
             raise ParseError(f"element {x} lies on a cycle")
-    return Poset(n, frozenset((x, y) for x in range(1, n + 1) for y in range(1, n + 1)
-                              if ups[x] >> (y - 1) & 1))
+    return Poset(n, frozenset((x, y) for x in range(1, n + 1) for y in _elements(ups[x])))
 
 
 def format_poset(p):

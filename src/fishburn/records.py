@@ -1,6 +1,8 @@
 """The records and errors every module of the package shares: the
 ``MatrixConditionError`` family and ``ParseError``, the ``CellClass`` and
-``Parity`` tags, and ``_Record``, the base of every value type.
+``Parity`` tags, ``_Record``, the base of every value type, and ``_cells``,
+the one definition of the cell sets the statistics, the refinement keys
+and the generators read.
 
 They live apart from ``matrices`` so that a module which only names them,
 as ``enumeration`` and ``cli`` do at import time, does not load the matrix
@@ -9,6 +11,8 @@ keeps working.
 """
 
 from enum import Enum
+from functools import lru_cache
+from types import MappingProxyType
 
 # --- exceptions ------------------------------------------------------------
 
@@ -71,6 +75,26 @@ class Parity(Enum):
     EVEN = "even"
     ODD = "odd"
     ANY = "any"
+
+
+@lru_cache(maxsize=64)
+def _cells(d):
+    """The named cell sets of dimension d, as 1-based (i, j) in row-major
+    order: ``upper``, on or above the main diagonal, split into ``half``,
+    its NW and diagonal cells (i + j <= d + 1), and ``se``; and the cells
+    each statistic of ``stats`` sums, ``first_row``, ``diag`` (the diagonal
+    cells in ``upper``), ``center_col`` (none at an even d) and ``last_col``."""
+    upper = tuple((i, j) for i in range(1, d + 1) for j in range(i, d + 1))
+    h = (d + 1) // 2
+    return MappingProxyType({
+        "upper": upper,
+        "half": tuple((i, j) for i, j in upper if i + j <= d + 1),
+        "se": tuple((i, j) for i, j in upper if i + j > d + 1),
+        "first_row": tuple((1, j) for j in range(1, d + 1)),
+        "diag": tuple((i, d + 1 - i) for i in range(1, h + 1)),
+        "center_col": tuple((i, h) for i in range(1, h + 1)) if d % 2 else (),
+        "last_col": tuple((i, d) for i in range(1, d + 1)),
+    })
 
 
 class _Record:

@@ -12,7 +12,9 @@ import operator
 
 from fishburn import (
     FamilyTag,
+    Parity,
     Poset,
+    StatVector,
     TriMatrix,
     family_member,
     reduced_size,
@@ -97,6 +99,58 @@ def brute_self_dual_mirrored(n, max_dim):
             if family_member(FamilyTag.FISHBURN, m):
                 found.add(m)
     return found
+
+
+# --- statistics -----------------------------------------------------------------
+# Each statistic is summed cell by cell through ``entry`` over the condition
+# that defines it, across the whole square: a cell below the main diagonal
+# holds 0, so it adds nothing to a sum that meets it.
+
+
+def cell_sum(m, condition):
+    """The sum of the cells (i, j) of ``m`` with ``condition(i, j, d)``."""
+    d = m.dim
+    return sum(m.entry(i, j) for i in range(1, d + 1) for j in range(1, d + 1)
+               if condition(i, j, d))
+
+
+def _first_row(i, j, d):
+    return i == 1
+
+
+def _diagonal(i, j, d):
+    return j == d + 1 - i
+
+
+def _center_column(i, j, d):
+    return d % 2 == 1 and j == (d + 1) // 2
+
+
+def _last_column(i, j, d):
+    return j == d
+
+
+def cell_sum_stats(m):
+    """``stats(m)``, each field summed over its defining cells."""
+    d = m.dim
+    return StatVector(cell_sum(m, lambda i, j, d: True),
+                      cell_sum(m, lambda i, j, d: i + j <= d + 1),
+                      cell_sum(m, _first_row), cell_sum(m, _diagonal),
+                      cell_sum(m, _center_column), cell_sum(m, _last_column),
+                      d, Parity.ODD if d % 2 else Parity.EVEN)
+
+
+def cell_sum_key(family, m):
+    """The refinement key (k, p, parity) of a member of ``family``: first
+    row and diagonal with the dimension's parity for ``fishburn`` and
+    ``self_dual``, last column and first row for ``rm`` and ``b``, first
+    row and center column for ``sm``."""
+    if family in (FamilyTag.FISHBURN, FamilyTag.SELF_DUAL):
+        return (cell_sum(m, _first_row), cell_sum(m, _diagonal),
+                Parity.ODD if m.dim % 2 else Parity.EVEN)
+    if family in (FamilyTag.RM, FamilyTag.B):
+        return cell_sum(m, _last_column), cell_sum(m, _first_row), Parity.ANY
+    return cell_sum(m, _first_row), cell_sum(m, _center_column), Parity.ANY
 
 
 # --- power series ---------------------------------------------------------------

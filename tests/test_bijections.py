@@ -17,9 +17,7 @@ from fishburn import (
     NotSelfDual,
     NotSMMember,
     OddDimension,
-    Parity,
     SignedRowFishburn,
-    StatVector,
     TriMatrix,
     alpha,
     alpha_inv,
@@ -44,6 +42,7 @@ from matrix_strategies import (
     self_dual_fishburn_matrices,
     sm_members,
 )
+from oracles import cell_sum_stats
 from vectors import (
     A5,
     A6,
@@ -498,19 +497,11 @@ def test_row_bodies_match_public_maps_up_to_size_6():
             assert bijections._project(b.rows) == _pair(project_b_to_signed_rm(b))
 
 
-def _stats_by_helpers(m):
-    rows = m.rows
-    return StatVector(m.size(), sum(matrices._nw_diag_cells(rows)), sum(rows[0]),
-                      sum(matrices._diag_cells(rows)), sum(matrices._center_cells(rows)),
-                      sum(matrices._last_col_cells(rows)), m.dim,
-                      Parity.ODD if m.dim % 2 else Parity.EVEN)
-
-
-def test_stats_match_the_cell_helpers_up_to_size_6():
+def test_stats_match_cell_by_cell_sums_up_to_size_6():
     for n in range(1, 7):
         for family in (FamilyTag.SELF_DUAL, FamilyTag.RM, FamilyTag.SM):
             for m in enumerate_family(family, n):
-                assert stats(m) == _stats_by_helpers(m)
+                assert stats(m) == cell_sum_stats(m)
 
 
 @given(sm_members(max_dim=12))
@@ -518,7 +509,7 @@ def test_compiled_relocation_matches_beta_generated(s):
     # members larger than the sweep's reach some (dimension, moved columns)
     # shapes that no member at n <= 6 has
     _check_compiled_relocation(s)
-    assert stats(s) == _stats_by_helpers(s)
+    assert stats(s) == cell_sum_stats(s)
 
 
 @given(self_dual_fishburn_matrices(max_dim=12, max_entry=3))

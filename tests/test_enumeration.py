@@ -35,7 +35,7 @@ from fishburn import (
 )
 from fishburn import bijections, enumeration, matrices
 from fishburn.enumeration import verify_identities
-from oracles import fishburn_series, row_fishburn_series
+from oracles import cell_sum_key, fishburn_series, row_fishburn_series
 from vectors import A5, A6, B_1, M_1, RM_2_ORDER, SM_1
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -365,21 +365,25 @@ def test_refinement_keys():
         (2, 1, Parity.ANY)
 
 
-def _key_from_stats(family, m):
-    # the key as read from the full statistics bundle
-    st = stats(m)
-    if family in (FamilyTag.FISHBURN, FamilyTag.SELF_DUAL):
-        return (st.first_row_sum, st.diag_sum, st.dim_parity)
-    if family is FamilyTag.SM:
-        return (st.first_row_sum, st.center_col_sum, Parity.ANY)
-    return (st.last_col_sum, st.first_row_sum, Parity.ANY)
-
-
 def test_refinement_keys_agree_with_stats():
+    # each key against its statistics summed cell by cell over their
+    # defining conditions, with no code shared with ``stats``
     for family in FamilyTag:
         for n in range(1, 6):
             for m in enumerate_family(family, n):
-                assert refinement_key(family, m) == _key_from_stats(family, m), m
+                assert refinement_key(family, m) == cell_sum_key(family, m), m
+
+
+@pytest.mark.parametrize("family", ["rm", None, "fishburn", 2])
+def test_refinement_key_rejects_an_unknown_family(family):
+    # a family named by its value is no tag, as for the membership checks
+    # and the count tables
+    m = TriMatrix(((1, 0), (0, 1)))
+    for call in (refinement_key, family_violation):
+        with pytest.raises(ValueError, match=f"unknown family {family!r}"):
+            call(family, m)
+    with pytest.raises(ValueError, match=f"unknown family {family!r}"):
+        count_refined(family, 2)
 
 
 def test_tuple_keys_match_refinement_key():

@@ -42,8 +42,8 @@ from fishburn import (
     stats,
 )
 from fishburn.matrices import (
+    _cell_getters,
     _gather,
-    _se_cells,
     _text_template,
     b_violation,
     expandable_violation,
@@ -53,6 +53,7 @@ from fishburn.matrices import (
     sm_violation,
     super_triangular_violation,
 )
+from fishburn.records import _cells
 from matrix_strategies import self_dual_fishburn_matrices, upper_matrices
 from vectors import A5, A6, R5, S5
 
@@ -150,6 +151,20 @@ def test_cell_class_examples():
         cell_class(5, 3, 2)
     with pytest.raises(IndexError):
         cell_class(5, 0, 1)
+
+
+def test_cell_table_partitions_the_upper_triangle_as_cell_class():
+    # ``half`` is the NW cells and the diagonal cells, in row-major order
+    for d in range(1, 13):
+        cells = _cells(d)
+        upper = [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
+        by_class = {c: [cell for cell in upper if cell_class(d, *cell) is c] for c in CellClass}
+        assert list(cells["upper"]) == upper
+        assert list(cells["diag"]) == by_class[CellClass.DIAGONAL]
+        assert list(cells["se"]) == by_class[CellClass.SE]
+        assert [cell for cell in cells["half"] if cell not in cells["diag"]] == \
+            by_class[CellClass.NW]
+        assert sorted(cells["half"] + cells["se"]) == upper
 
 
 def test_cell_class_partition_counts():
@@ -406,7 +421,8 @@ def test_per_shape_caches_are_bounded():
     # any number of them
     assert _gather.cache_info().maxsize == 8192
     assert _text_template.cache_info().maxsize == 64
-    assert _se_cells.cache_info().maxsize == 64
+    assert _cells.cache_info().maxsize == 64
+    assert _cell_getters.cache_info().maxsize == 64
 
 
 @given(upper_matrices())

@@ -296,6 +296,11 @@ def test_lazy_and_eager_posets_agree():
         assert eager == fishburn_to_poset(m) and fishburn_to_poset(m) == eager
 
 
+# what is no element: out of range, or no int, even where it compares
+# equal to one
+NON_ELEMENTS = (0, -1, True, False, 1.0, 2.5, "1", None)
+
+
 def test_poset_leg_leaves_the_relation_unset():
     for m in fishburn_members(6):
         p = fishburn_to_poset(m)
@@ -306,6 +311,28 @@ def test_poset_leg_leaves_the_relation_unset():
         poset_to_fishburn(q)
         assert relation_unset(p) and relation_unset(q), m
         assert is_interval_order(p) and relation_unset(p)
+        # the element reads answer from the masks, and a non-element too
+        n = p.n_elements
+        elements = range(1, n + 2)
+        for x in elements:
+            p.down_set(x)
+            q.up_set(x)
+            for y in elements:
+                p.less(x, y)
+        for x in NON_ELEMENTS:
+            assert not p.less(x, n) and not p.less(1, x)
+            assert p.down_set(x) == p.up_set(x) == frozenset()
+        assert relation_unset(p) and relation_unset(q), m
+
+
+def test_non_elements_are_below_nothing():
+    # as in the constructor, a bool or a float is no element, so True is
+    # not below 2 where 1 is
+    for p in (Poset(2, frozenset({(1, 2)})), fishburn_to_poset(TriMatrix(((1, 0), (0, 1))))):
+        assert p.less(1, 2) and p.down_set(2) == {1} and p.up_set(1) == {2}
+        for x in NON_ELEMENTS + (3,):
+            assert not p.less(x, 2) and not p.less(1, x), x
+            assert p.down_set(x) == p.up_set(x) == frozenset(), x
 
 
 def test_missing_names_raise_the_usual_error():
