@@ -33,13 +33,13 @@ once, by running the body, and then read by one getter per row.
 forms of the bodies.  The identity checker calls them, ``_project`` and
 ``_embed`` on the rows of members it generated, so it runs no entry
 check and hashes plain tuples; it reads them from this module when a
-pass starts, so a body replaced here is the one the pass runs.  Without
-a trace, ``selfdual_to_signed_rm``, ``beta`` and ``em_to_sm`` apply the
-same compiled forms after their entry checks, and ``alpha`` the layout
-of ``_fold``: a stream of 2 000 single requests builds about 175
-layouts and reads each about 15 times.
-A trace needs the body's intermediate rows, so it runs the body
-directly.  ``alpha_inv`` and ``beta_inv`` always run directly:
+pass starts, so a body replaced here is the one the pass runs.
+``selfdual_to_signed_rm``, ``beta`` and ``em_to_sm`` apply the same
+compiled forms after their entry checks, and ``alpha`` the layout of
+``_fold``: a stream of 2 000 single requests builds about 175 layouts
+and reads each about 15 times.  A trace takes that image as its last
+snapshot and runs the bodies only for the intermediate rows.
+``alpha_inv`` and ``beta_inv`` always run directly:
 ``alpha_inv`` checks its swapped rows, so it builds them anyway, and a
 layout for it measured no faster.
 
@@ -149,9 +149,9 @@ def alpha(m, want_trace=False):
     """
     require(selfdual_violation, NotSelfDual, m)
     require(fishburn_violation, NotFishburn, m)
+    out = TriMatrix._trusted(_place(_gather(_fold, m.dim), _flat(m.rows)))
     if not want_trace:
-        return TriMatrix._trusted(_place(_gather(_fold, m.dim), _flat(m.rows)))
-    out = TriMatrix._trusted(_fold(m.rows))
+        return out
     r = _reduce(m.rows)
     steps = [("A(0)", m), ("A(1)", TriMatrix._trusted(r))]
     if m.dim % 2 == 0:
@@ -222,11 +222,11 @@ def beta(a, want_trace=False):
     require(sm_violation, NotSMMember, a)
     if a.size() == 0:
         raise DegenerateMatrix("the all-zero matrix has no image")
+    out = TriMatrix._trusted(_beta(a.rows))
     if not want_trace:
-        return TriMatrix._trusted(_beta(a.rows))
+        return out
     moved = _moved(a.rows)
     block = _block(a.rows, moved)
-    out = TriMatrix._trusted(_dual_rows(block))
     steps = [("A(0)", a)]
     steps += ((f"A({t})", x) for t, x in enumerate(_relocation_steps(a.rows, moved), 1))
     if len(block) > 1:
@@ -379,11 +379,11 @@ def selfdual_to_signed_rm(m, want_trace=False):
     member."""
     require(selfdual_violation, NotSelfDual, m)
     require(fishburn_violation, NotFishburn, m)
+    signed = _signed(_chain(m.rows))
     if not want_trace:
-        return _signed(_chain(m.rows))
+        return signed
     s = TriMatrix._trusted(_fold(m.rows))
     b_rows = _relocate(s.rows, _moved(s.rows))
-    signed = _signed(_project(b_rows))
     steps = (("A(0)", m), ("alpha", s), ("beta", TriMatrix._trusted(b_rows)),
              ("R", signed.matrix))
     return signed, BijectionTrace(steps)

@@ -30,7 +30,7 @@ from .enumeration import (
     verify_identities,
     verify_identity,  # unused here; perfbench's tracer tests patch this binding
 )
-from .records import MatrixConditionError, ParseError, _Record
+from .records import MatrixConditionError, ParseError, Parity, _Record
 
 # --- run outcome ---------------------------------------------------------------
 
@@ -124,14 +124,9 @@ def cmd_check(family, input_path):
         lines.append("member: no")
         lines.append(f"reason: {violation}")
     vector = stats(m)
-    lines.append(f"size: {vector.size}")
-    lines.append(f"reduced_size: {vector.reduced_size}")
-    lines.append(f"first_row_sum: {vector.first_row_sum}")
-    lines.append(f"diag_sum: {vector.diag_sum}")
-    lines.append(f"center_col_sum: {vector.center_col_sum}")
-    lines.append(f"last_col_sum: {vector.last_col_sum}")
-    lines.append(f"dim: {vector.dim}")
-    lines.append(f"dim_parity: {vector.dim_parity.value}")
+    for name in vector.__slots__:
+        value = getattr(vector, name)
+        lines.append(f"{name}: {value.value if isinstance(value, Parity) else value}")
     return RunReport(violation is None, "\n".join(lines) + "\n")
 
 

@@ -19,26 +19,21 @@ When each profile names one twin class, as in every interval order, that
 class map is the one candidate and is checked directly; other posets go
 to a backtracking search over element assignments.
 
-Every kernel works on per-element down-set and up-set bitmasks (bit
-x - 1 stands for element x), which ``_masks`` derives in one pass over
-the relation and keeps with the poset, in a slot that is no field of the
-record, so the constructor check and every later kernel on one poset
-share that pass.  The level chains sort distinct masks by popcount and
-test inclusion as ``a & ~b == 0``; the forced candidate is checked as one
-mask comparison per twin class, and the search checks a candidate image
-with two; and twins are interchangeable, so the search and
-``canonical_form`` permute twin classes rather than elements.  The text
-boundary uses the same masks: ``parse_poset`` closes the relation over
-up-set masks, and the public constructor checks transitivity as one mask
-inclusion per pair, the up-set of y inside that of x for x below y.  The
+A poset stores only its per-element down-set and up-set bitmasks (bit
+x - 1 stands for element x), and every kernel works on them.  The level
+chains sort distinct masks by popcount and test inclusion as
+``a & ~b == 0``; the forced candidate is checked as one mask comparison
+per twin class, and the search checks a candidate image with two; and
+twins are interchangeable, so the search and ``canonical_form`` permute
+twin classes rather than elements.  The public constructor builds the
+masks in the pass that checks the pairs, then checks transitivity as one
+mask inclusion per pair, the up-set of y inside that of x for x below y;
+``parse_poset`` closes the relation over up-set masks before it.  The
 decoder ``fishburn_to_poset`` reads the masks off the matrix and builds
-no pairs: its row-major labels put the elements above any up-level in one
-suffix of the labels, and those below any level in the columns before
-it.  ``dual_poset`` passes its input's masks on, swapped.  A poset built
-from masks alone builds its relation, a frozenset of pairs, from the
-up-set masks the first time ``relation`` is read; equality, hash, repr,
-copy and pickle read it like any field, while ``less``, ``down_set`` and
-``up_set`` answer from the masks, and what is no element relates to nothing.
+no pairs: its row-major labels put the elements above any up-level in
+one suffix of the labels, and those below any level in the columns
+before it.  ``dual_poset`` passes its input's masks on, swapped.
+``relation`` is built from the up-set masks when it is read.
 """
 
 import itertools
@@ -74,99 +69,87 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class _MaskedRecord(_Record):
-    """A record with one more slot, ``_down_up``, for the masks ``_masks``
-    derives from it.  The slot is no field: ``__slots__`` of a subclass
-    lists only its fields, so equality, hash, repr, copy and pickle read
-    the fields alone, and a copy derives its masks again."""
-
-    __slots__ = ("_down_up",)
-
-
-# store the masks of a poset past the frozen ``__setattr__``, and read
-# them without falling back to ``Poset.__getattr__`` when they are unset
-_set_down_up = _MaskedRecord._down_up.__set__
-_get_down_up = _MaskedRecord._down_up.__get__
-
-
-class Poset(_MaskedRecord):
+class Poset(_Record):
     """Strict partial order on elements 1..n_elements.
 
-    ``relation`` holds the full set of ordered pairs (x, y) with x below y.
-    The public constructor (and ``parse_poset``, which goes through it)
-    validates irreflexivity and transitivity; antisymmetry follows from
-    the two.  The posets the package builds itself, the images of
-    ``fishburn_to_poset`` and ``dual_poset``, are built by ``_trusted``,
-    which skips that check, and hold only their masks: their ``relation``
-    is built from the up-set masks the first time it is read.
+    The poset stores ``_down_up``, every element's down-set and up-set as
+    two tuples of bitmasks: index x - 1 holds element x's set, in which
+    bit y - 1 stands for element y.  ``relation``, the set of pairs (x, y)
+    with x below y, is built from the up-set masks on each read.  The
+    public constructor (and ``parse_poset``, which goes through it) reads
+    a relation and checks that it is irreflexive and transitive;
+    antisymmetry follows from the two.  The posets the package builds
+    itself, the images of ``fishburn_to_poset`` and ``dual_poset``, come
+    from ``_trusted``, which takes their masks and checks nothing.
+    Equality and hash compare the masks, which fix the relation; repr,
+    copy and pickle write the relation out.
     """
 
-    __slots__ = ("n_elements", "relation")
+    __slots__ = ("n_elements", "_down_up")
 
-    @classmethod
-    def _trusted(cls, n_elements, relation, down_up=None):
-        """A poset over ``relation`` without validation, for a relation the
-        caller built to satisfy every condition ``__post_init__`` checks;
-        ``down_up``, when given, is what ``_masks`` would derive from it.
-        With ``relation`` None, ``down_up`` must be given, and the relation
-        is left to ``__getattr__``."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "n_elements", n_elements)
-        if relation is not None:
-            object.__setattr__(p, "relation", relation)
-        if down_up is not None:
-            _set_down_up(p, down_up)
-        return p
-
-    def __getattr__(self, name):
-        # reached only when the usual lookup fails: for an unset
-        # ``relation`` slot, whose pairs the up-set masks list, and for a
-        # name the poset does not have
-        if name != "relation":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}",
-                name=name, obj=self)
-        relation = frozenset((x, y) for x, up in enumerate(_get_down_up(self)[1], start=1)
-                             for y in _elements(up))
-        object.__setattr__(self, "relation", relation)
-        return relation
-
-    def __post_init__(self):
-        n = self.n_elements
+    def __init__(self, n_elements, relation):
+        n = n_elements
         if not _is_int(n):
             raise ValueError(f"the element count must be an integer, not {n!r}")
         if n < 1:
             raise ValueError("a poset needs at least one element")
-        for x, y in self.relation:
+        object.__setattr__(self, "n_elements", n)
+        # read once, so a one-shot iterable is checked in full
+        pairs = tuple(relation)
+        downs = [0] * n
+        ups = [0] * n
+        for x, y in pairs:
             if not (self._is_element(x) and self._is_element(y)):
                 raise ValueError(f"pair ({x}, {y}) outside elements 1..{n}")
             if x == y:
                 raise ValueError(f"relation is not irreflexive at element {x}")
+            downs[y - 1] |= 1 << (x - 1)
+            ups[x - 1] |= 1 << (y - 1)
         # transitive exactly when each y above x has its up-set inside x's
-        ups = _masks(self)[1]
-        for x, y in self.relation:
+        for x, y in pairs:
             missing = ups[y - 1] & ~ups[x - 1]
             if missing:
                 w = (missing & -missing).bit_length()
                 raise ValueError(
                     f"relation is not transitive: ({x}, {y}) and ({y}, {w}) "
                     f"without ({x}, {w})")
+        object.__setattr__(self, "_down_up", (tuple(downs), tuple(ups)))
+
+    @classmethod
+    def _trusted(cls, n_elements, down_up):
+        """A poset over ``down_up`` without validation, for masks the
+        caller built to be those of an order on 1..n_elements."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n_elements", n_elements)
+        object.__setattr__(p, "_down_up", down_up)
+        return p
+
+    @property
+    def relation(self):
+        return frozenset((x, y) for x, up in enumerate(self._down_up[1], start=1)
+                         for y in _elements(up))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(n_elements={self.n_elements!r}, "
+                f"relation={self.relation!r})")
+
+    def __reduce__(self):
+        return type(self), (self.n_elements, self.relation)
 
     def _is_element(self, x):
         # a bool or a float such as 1.5 is no element, even where it
         # compares equal to one
         return _is_int(x) and 1 <= x <= self.n_elements
 
-
     def less(self, x, y):
         return (self._is_element(x) and self._is_element(y)
-                and bool(_masks(self)[1][x - 1] >> (y - 1) & 1))
+                and bool(self._down_up[1][x - 1] >> (y - 1) & 1))
 
     def down_set(self, x):
-        return frozenset(_elements(_masks(self)[0][x - 1]) if self._is_element(x) else ())
+        return frozenset(_elements(self._down_up[0][x - 1]) if self._is_element(x) else ())
 
     def up_set(self, x):
-        return frozenset(_elements(_masks(self)[1][x - 1]) if self._is_element(x) else ())
+        return frozenset(_elements(self._down_up[1][x - 1]) if self._is_element(x) else ())
 
 
 class LevelDecomposition(_Record):
@@ -187,28 +170,7 @@ def is_interval_order(p):
     """True when no four distinct elements form two comparable pairs with
     all four cross relations absent, that is, when the down-sets form a
     chain."""
-    return _chain(_masks(p)[0]) is not None
-
-
-def _masks(p):
-    """Every element's down-set and up-set as bitmasks, from one pass over
-    the relation, kept with the poset for the next call.  Index x - 1 of
-    each tuple holds element x's set, in which bit y - 1 stands for
-    element y."""
-    try:
-        return _get_down_up(p)
-    except AttributeError:
-        pass
-    n = p.n_elements
-    bit = [0] + [1 << y for y in range(n)]
-    downs = [0] * (n + 1)
-    ups = [0] * (n + 1)
-    for x, y in p.relation:
-        downs[y] |= bit[x]
-        ups[x] |= bit[y]
-    down_up = (tuple(downs[1:]), tuple(ups[1:]))
-    _set_down_up(p, down_up)
-    return down_up
+    return _chain(p._down_up[0]) is not None
 
 
 def _elements(mask):
@@ -235,7 +197,7 @@ def _levels(p):
     """The magnitude and every element's level and up-level, as two lists
     indexed by element - 1.  Raises NotIntervalOrder when either family of
     sets fails to form a chain."""
-    downs, ups = _masks(p)
+    downs, ups = p._down_up
     down_chain = _chain(downs)
     up_chain = _chain(ups)
     if down_chain is None or up_chain is None:
@@ -284,11 +246,10 @@ def fishburn_to_poset(m):
     every element starting at a level above j.  Row-major labels make those
     a suffix, the labels from the first one of row j + 1 on, so each cell's
     up-set is one suffix, and the down-set of a level i element holds every
-    label in the columns before i.  The poset holds those masks alone; its
-    relation, each cell's labels paired with its suffix, is built when
-    first read.  That relation is an order as built, irreflexive since
-    ia <= ja and transitive since ja < ib <= jb < ic, so the poset skips
-    the constructor's check.
+    label in the columns before i.  The poset holds those masks; its
+    relation pairs each cell's labels with its suffix, an order as built,
+    irreflexive since ia <= ja and transitive since ja < ib <= jb < ic, so
+    the poset skips the constructor's check.
     """
     require(fishburn_violation, NotFishburn, m)
     rows = m.rows
@@ -313,7 +274,7 @@ def fishburn_to_poset(m):
         downs += [below[i]] * (starts[i + 1] - starts[i])
         # no later row reaches column i + 1, so its labels are all in
         below[i + 1] |= below[i]
-    return Poset._trusted(end - 1, None, (tuple(downs), tuple(ups)))
+    return Poset._trusted(end - 1, (tuple(downs), tuple(ups)))
 
 
 # --- duality -------------------------------------------------------------------------
@@ -322,8 +283,8 @@ def fishburn_to_poset(m):
 def dual_poset(p):
     """Reverse the order; an involution, and the reversal of a valid order
     is one.  The image holds its input's masks with downs and ups
-    exchanged, and builds its relation when first read."""
-    return Poset._trusted(p.n_elements, None, _masks(p)[::-1])
+    exchanged."""
+    return Poset._trusted(p.n_elements, p._down_up[::-1])
 
 
 def _twin_classes(downs, ups):
@@ -350,7 +311,7 @@ def is_self_dual_poset(p):
     down(f(x)) says x < y iff f(y) < f(x).)  Other posets go to
     ``_self_dual_by_search``.  Neither reads the matrix encoding.
     """
-    downs, ups = _masks(p)
+    downs, ups = p._down_up
     # the members of each twin class as one mask
     members = {}
     for x, key in enumerate(zip(downs, ups)):
@@ -393,7 +354,7 @@ def _self_dual_by_search(p):
     relation is built.
     """
     n = p.n_elements
-    downs, ups = _masks(p)
+    downs, ups = p._down_up
     profile = [(d.bit_count(), u.bit_count()) for d, u in zip(downs, ups)]
     # the reversal swaps each element's profile pair
     if sorted(profile) != sorted((b, a) for a, b in profile):
@@ -466,10 +427,11 @@ def canonical_form(p):
     classes varies: the distinct orderings of a multiset of class indices.
     """
     n = p.n_elements
-    if not p.relation:
+    relation = p.relation
+    if not relation:
         return (n, ())
     by_profile = {}
-    for (down, up), members in _twin_classes(*_masks(p)).items():
+    for (down, up), members in _twin_classes(*p._down_up).items():
         by_profile.setdefault((down.bit_count(), up.bit_count()), []).append(members)
     blocks = [by_profile[key] for key in sorted(by_profile)]
     # class k of a block appears len(class k) times in its index multiset
@@ -484,7 +446,7 @@ def canonical_form(p):
             for k in indices:
                 relabel[next(pending[k])] = position
                 position += 1
-        encoded = tuple(sorted((relabel[x - 1], relabel[y - 1]) for x, y in p.relation))
+        encoded = tuple(sorted((relabel[x - 1], relabel[y - 1]) for x, y in relation))
         if best is None or encoded < best:
             best = encoded
     return (n, best)
@@ -541,7 +503,7 @@ def parse_poset(text):
     for x in range(1, n + 1):
         if ups[x] >> (x - 1) & 1:
             raise ParseError(f"element {x} lies on a cycle")
-    return Poset(n, frozenset((x, y) for x in range(1, n + 1) for y in _elements(ups[x])))
+    return Poset(n, ((x, y) for x in range(1, n + 1) for y in _elements(ups[x])))
 
 
 def format_poset(p):

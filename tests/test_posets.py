@@ -31,7 +31,7 @@ from fishburn import (
 )
 from fishburn import matrices, posets
 from fishburn.matrices import selfdual_violation
-from fishburn.posets import _masks, _self_dual_by_search
+from fishburn.posets import _self_dual_by_search
 from matrix_strategies import fishburn_matrices
 from oracles import all_posets, brute_canonical, no_two_plus_two
 from vectors import A5, INTERVAL_ORDER_COUNTS, POSET_MATRIX, POSET_RELATION
@@ -78,6 +78,23 @@ def test_poset_rejects_non_integer_elements():
 def test_poset_validates_transitivity():
     with pytest.raises(ValueError, match="not transitive"):
         Poset(3, frozenset({(1, 2), (2, 3)}))
+
+
+def test_constructor_takes_any_iterable_of_pairs():
+    # the pairs are read once, so a one-shot iterator is checked in full
+    # and answers from every pair it held
+    with pytest.raises(ValueError) as caught:
+        Poset(3, iter([(1, 2), (2, 3)]))
+    assert str(caught.value) == \
+        "relation is not transitive: (1, 2) and (2, 3) without (1, 3)"
+    assert Poset(3, iter([(1, 2), (2, 3), (1, 3)])).less(1, 2)
+    # a poset over a set hashes, and one over a list with a repeated pair
+    # is the poset over its pairs
+    assert hash(Poset(2, {(1, 2)})) == hash(Poset(2, frozenset({(1, 2)})))
+    listed = Poset(2, [(1, 2), (1, 2)])
+    frozen = Poset(2, frozenset({(1, 2)}))
+    assert listed == frozen and hash(listed) == hash(frozen)
+    assert repr(listed) == repr(frozen) == "Poset(n_elements=2, relation=frozenset({(1, 2)}))"
 
 
 def test_down_and_up_sets():
@@ -170,13 +187,13 @@ def test_decoder_and_dual_build_trusted_posets(monkeypatch):
     # quadratic transitivity check is skipped, yet the result is the same
     members = [m for n in range(1, 6) for m in enumerate_family(FamilyTag.FISHBURN, n)]
     checks = []
-    post_init = Poset.__post_init__
+    init = Poset.__init__
 
-    def counting(p):
-        checks.append(p)
-        post_init(p)
+    def counting(p, *args, **kwargs):
+        checks.append(args)
+        init(p, *args, **kwargs)
 
-    monkeypatch.setattr(Poset, "__post_init__", counting)
+    monkeypatch.setattr(Poset, "__init__", counting)
     images = [fishburn_to_poset(m) for m in members]
     duals = [dual_poset(p) for p in images]
     assert checks == []
@@ -187,49 +204,48 @@ def test_decoder_and_dual_build_trusted_posets(monkeypatch):
 
 def test_one_pass_sets_match_down_set_and_up_set():
     # the decoder stores masks read off the matrix, and the dual its
-    # input's masks swapped; both must be the masks one pass over the
-    # relation gives, and the sets the definition gives
+    # input's masks swapped; both must be the masks the constructor's one
+    # pass over the relation gives, and the sets the definition gives
     for n in range(1, 7):
         for m in enumerate_family(FamilyTag.FISHBURN, n):
             decoded = fishburn_to_poset(m)
             for p in (decoded, dual_poset(decoded)):
-                downs, ups = _masks(p)
-                assert (downs, ups) == _masks(Poset._trusted(p.n_elements, p.relation)), m
+                downs, ups = p._down_up
+                relation = p.relation
+                assert (downs, ups) == Poset(p.n_elements, relation)._down_up, m
                 elements = range(1, p.n_elements + 1)
 
                 def members(mask):
                     return frozenset(y for y in elements if mask >> (y - 1) & 1)
 
                 assert {x: members(downs[x - 1]) for x in elements} == \
+                    {x: frozenset(w for w, y in relation if y == x) for x in elements} == \
                     {x: p.down_set(x) for x in elements}, m
                 assert {x: members(ups[x - 1]) for x in elements} == \
+                    {x: frozenset(y for w, y in relation if w == x) for x in elements} == \
                     {x: p.up_set(x) for x in elements}, m
 
 
 def test_kept_masks_change_nothing_about_a_poset():
-    # the masks slot is no record field: a poset holding masks is the same
-    # value, with the same hash and repr, as one over the same relation
-    # without them, and copies and pickles carry the fields alone (a
-    # rebuilt frozenset may list its pairs in another order, so a copy's
-    # repr is checked against its own relation)
+    # the masks are the only stored state: a poset the package built from
+    # masks is the same value, with the same hash and repr, as the public
+    # poset over its relation, and copies and pickles, which go through
+    # the relation, keep the masks
     parsed = parse_poset("4\n1 2\n3 4\n1 4\n")
     decoded = fishburn_to_poset(A5)
     posets = [parsed, decoded, dual_poset(parsed), dual_poset(decoded)]
-    assert Poset.__slots__ == ("n_elements", "relation")
+    assert Poset.__slots__ == ("n_elements", "_down_up")
     for p in posets:
-        bare = Poset._trusted(p.n_elements, p.relation)
-        before = hash(p)
-        downs, ups = _masks(p)
-        assert hash(p) == before == hash(bare)
-        assert p == bare and bare == p
-        assert repr(p) == repr(bare) == (
+        public = Poset(p.n_elements, p.relation)
+        assert hash(p) == hash(public)
+        assert p == public and public == p
+        assert repr(p) == repr(public) == (
             f"Poset(n_elements={p.n_elements!r}, relation={p.relation!r})")
         for other in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
             assert type(other) is Poset
             assert other == p and hash(other) == hash(p)
-            assert repr(other) == (
-                f"Poset(n_elements={p.n_elements!r}, relation={other.relation!r})")
-            assert _masks(other) == (downs, ups)
+            assert repr(other) == repr(p)
+            assert other._down_up == p._down_up
     assert dual_poset(dual_poset(decoded)) == decoded
 
 
@@ -250,28 +266,32 @@ def label_suffix_pairs(m):
     return frozenset(pairs)
 
 
-def relation_unset(p):
-    # the slot itself, bypassing the ``__getattr__`` that would fill it
-    try:
-        Poset.__dict__["relation"].__get__(p)
-    except AttributeError:
-        return True
-    return False
+def count_relation_reads(monkeypatch):
+    """The posets whose ``relation`` is read from now on, one entry a read."""
+    reads = []
+    relation = Poset.relation
+
+    def counting(p):
+        reads.append(p)
+        return relation.fget(p)
+
+    monkeypatch.setattr(Poset, "relation", property(counting))
+    return reads
 
 
 def test_lazy_relation_equals_the_label_suffix_pairs():
+    # the relation is no stored state: each read builds it from the masks
     for m in fishburn_members(7):
         p = fishburn_to_poset(m)
-        assert relation_unset(p)
         relation = p.relation
-        assert not relation_unset(p) and p.relation is relation
         assert relation == label_suffix_pairs(m), m
+        assert p.relation == relation and p.relation is not relation
         assert Poset(p.n_elements, relation) == p
 
 
 def test_lazy_and_eager_posets_agree():
-    # a decoded poset builds its relation on first read, through whichever
-    # of these reads it; an eager one holds the same pairs from the start
+    # a decoded poset holds the masks read off the matrix, a public one
+    # those its constructor derives from the same pairs
     reads = [
         lambda p: p,
         hash,
@@ -301,7 +321,8 @@ def test_lazy_and_eager_posets_agree():
 NON_ELEMENTS = (0, -1, True, False, 1.0, 2.5, "1", None)
 
 
-def test_poset_leg_leaves_the_relation_unset():
+def test_poset_leg_never_reads_the_relation(monkeypatch):
+    reads = count_relation_reads(monkeypatch)
     for m in fishburn_members(6):
         p = fishburn_to_poset(m)
         is_self_dual_poset(p)
@@ -309,8 +330,7 @@ def test_poset_leg_leaves_the_relation_unset():
         q = dual_poset(p)
         is_self_dual_poset(q)
         poset_to_fishburn(q)
-        assert relation_unset(p) and relation_unset(q), m
-        assert is_interval_order(p) and relation_unset(p)
+        assert is_interval_order(p)
         # the element reads answer from the masks, and a non-element too
         n = p.n_elements
         elements = range(1, n + 2)
@@ -322,7 +342,9 @@ def test_poset_leg_leaves_the_relation_unset():
         for x in NON_ELEMENTS:
             assert not p.less(x, n) and not p.less(1, x)
             assert p.down_set(x) == p.up_set(x) == frozenset()
-        assert relation_unset(p) and relation_unset(q), m
+        assert reads == [], m
+    # the count sees a read
+    assert fishburn_to_poset(A5).relation and len(reads) == 1
 
 
 def test_non_elements_are_below_nothing():
