@@ -16,9 +16,16 @@ files, malformed matrix text).
 Each command imports the layers it runs: ``map`` and ``check`` load the
 matrix layer and ``map`` the maps, when they are called, and ``verify``
 loads both through the identity checker, so a ``count`` run loads neither.
+
+One table, ``_COMMANDS``, declares every subcommand's options.  A line
+that names a subcommand and then gives each of its options at most once,
+spelled in full with a value argparse would take, is read straight from
+that table; every other line, including ``-h``, abbreviations and every
+mistake, goes to the ``argparse`` parser ``build_parser`` builds from the
+same table, which reports it as it always has.  So a well-formed run never
+imports ``argparse``, nor the ``gettext`` and ``locale`` it loads.
 """
 
-import argparse
 import sys
 import time
 
@@ -140,68 +147,130 @@ def _read_input(path):
         return handle.read()
 
 
+def _size(text):
+    """The positive integer ``text`` spells in ASCII digits, the rule
+    parse_matrix applies to its tokens, or None.  Like ``int``, raises
+    ValueError on a string of more digits than ``int`` converts."""
+    if text.isascii() and text.isdigit() and int(text) > 0:
+        return int(text)
+    return None
+
+
 def _positive_int(text):
-    # ASCII digits only, the rule parse_matrix applies to its tokens
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+    # the argparse type of the size options
+    size = _size(text)
+    if size is None:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+    return size
 
 
 _FAMILY_NAMES = tuple(tag.value for tag in FamilyTag)
 
+# each subcommand: its help line, and each of its options with the keyword
+# arguments build_parser passes to ``add_argument``, which _read_line reads
+# too.  ``_positive_int`` is the one ``type``, ``store_true`` the one
+# ``action``, and an option that is not required has a default
+_COMMANDS = {
+    "verify": ("re-check the counting identities up to a size bound", {
+        "--identity": {"choices": IDENTITIES + ("all",), "default": "all",
+                       "help": "which identity to check (default: all)"},
+        "--max-size": {"type": _positive_int, "default": 4, "metavar": "N",
+                       "help": "largest total to check (default: 4)"},
+    }),
+    "count": ("print one family's refined count table", {
+        "--family": {"choices": _FAMILY_NAMES, "required": True},
+        "--size": {"type": _positive_int, "required": True, "metavar": "N"},
+        "--format": {"choices": ("csv", "json"), "default": "csv"},
+    }),
+    "map": ("apply a bijection to a matrix read from a file", {
+        "--bijection": {"choices": tuple(_BIJECTIONS), "required": True},
+        "--input": {"required": True, "metavar": "FILE",
+                    "help": "matrix file in the text format, or - for stdin"},
+        "--trace": {"action": "store_true", "default": False,
+                    "help": "print every labeled intermediate snapshot"},
+    }),
+    "check": ("report family membership and statistics for a matrix", {
+        "--family": {"choices": _FAMILY_NAMES, "required": True},
+        "--input": {"required": True, "metavar": "FILE"},
+    }),
+}
+
 
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fishburn",
         description="Verify, count, map, and check triangular-matrix families.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser(
-        "verify", help="re-check the counting identities up to a size bound")
-    p_verify.add_argument(
-        "--identity", choices=IDENTITIES + ("all",), default="all",
-        help="which identity to check (default: all)")
-    p_verify.add_argument(
-        "--max-size", type=_positive_int, default=4, metavar="N",
-        help="largest total to check (default: 4)")
-
-    p_count = sub.add_parser(
-        "count", help="print one family's refined count table")
-    p_count.add_argument("--family", choices=_FAMILY_NAMES, required=True)
-    p_count.add_argument("--size", type=_positive_int, required=True, metavar="N")
-    p_count.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p_map = sub.add_parser(
-        "map", help="apply a bijection to a matrix read from a file")
-    p_map.add_argument(
-        "--bijection", required=True,
-        choices=tuple(_BIJECTIONS))
-    p_map.add_argument(
-        "--input", required=True, metavar="FILE",
-        help="matrix file in the text format, or - for stdin")
-    p_map.add_argument(
-        "--trace", action="store_true",
-        help="print every labeled intermediate snapshot")
-
-    p_check = sub.add_parser(
-        "check", help="report family membership and statistics for a matrix")
-    p_check.add_argument("--family", choices=_FAMILY_NAMES, required=True)
-    p_check.add_argument("--input", required=True, metavar="FILE")
+    for command, (summary, options) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=summary)
+        for flag, spec in options.items():
+            p_command.add_argument(flag, **spec)
     return parser
 
 
+def _read_line(argv):
+    """``vars(build_parser().parse_args(argv))`` for a subcommand followed
+    by its own options, each spelled in full and given once with a value
+    argparse takes; None for any other line, which argparse reads."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][1]
+    args = {"command": argv[0]}
+    words = iter(argv[1:])
+    for flag in words:
+        spec = options.get(flag)
+        if spec is None:
+            return None
+        dest = flag[2:].replace("-", "_")
+        if dest in args:
+            return None
+        if "action" in spec:
+            args[dest] = True
+            continue
+        value = next(words, None)
+        # argparse may take a word starting with "-", other than "-"
+        # itself, for an option, so such a line is left to it
+        if value is None or (value.startswith("-") and value != "-"):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        if "type" in spec:
+            try:
+                value = _size(value)
+            except ValueError:  # more digits than int converts
+                return None
+            if value is None:
+                return None
+        args[dest] = value
+    for flag, spec in options.items():
+        dest = flag[2:].replace("-", "_")
+        if dest not in args:
+            if spec.get("required"):
+                return None
+            args[dest] = spec["default"]
+    return args
+
+
 def _dispatch(args):
-    if args.command == "verify":
-        return cmd_verify(args.identity, args.max_size)
-    if args.command == "count":
-        return cmd_count(FamilyTag(args.family), args.size, args.format)
-    if args.command == "map":
-        return cmd_map(args.bijection, args.input, args.trace)
-    return cmd_check(FamilyTag(args.family), args.input)
+    command = args["command"]
+    if command == "verify":
+        return cmd_verify(args["identity"], args["max_size"])
+    if command == "count":
+        return cmd_count(FamilyTag(args["family"]), args["size"], args["format"])
+    if command == "map":
+        return cmd_map(args["bijection"], args["input"], args["trace"])
+    return cmd_check(FamilyTag(args["family"]), args["input"])
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_line(argv)
+    if args is None:
+        args = vars(build_parser().parse_args(argv))
     try:
         report = _dispatch(args)
     except (ParseError, OSError, UnicodeDecodeError) as exc:

@@ -81,6 +81,8 @@ class TriMatrix(_Record):
     __slots__ = ("rows",)
 
     def __init__(self, rows):
+        if hasattr(self, "rows"):
+            raise AttributeError("cannot assign to field 'rows'")
         _set_rows(self, rows)
         self.__post_init__()
 
@@ -172,6 +174,8 @@ class StatVector(_Record):
     # written out, as the verify pass builds one per member
     def __init__(self, size, reduced_size, first_row_sum, diag_sum,
                  center_col_sum, last_col_sum, dim, dim_parity):
+        if hasattr(self, "size"):
+            raise AttributeError("cannot assign to field 'size'")
         _set_size(self, size)
         _set_reduced_size(self, reduced_size)
         _set_first_row_sum(self, first_row_sum)

@@ -107,7 +107,8 @@ class _Record:
     their fields and never equal a value of another class; the repr is
     ``Name(field=value, ...)``; assigning or deleting a field raises
     AttributeError; copy and pickle rebuild a value through its
-    constructor.
+    constructor.  Calling ``__init__`` on a built value raises
+    AttributeError too, and changes nothing.
     """
 
     __slots__ = ()
@@ -115,6 +116,8 @@ class _Record:
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
+        if hasattr(self, names[0]):
+            raise AttributeError(f"cannot assign to field {names[0]!r}")
         if kwargs or len(args) != len(names):
             args = self._arguments(args, kwargs)
         for name, value in zip(names, args):

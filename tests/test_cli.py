@@ -4,14 +4,16 @@ stability, driven through main() plus one real interpreter run."""
 import io
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from fishburn import bijections, format_matrix
+from fishburn import bijections, cli, format_matrix
 from fishburn.cli import main
+from fishburn.enumeration import IdentityReport
 from vectors import (
     A5,
     A6,
@@ -311,10 +313,31 @@ def test_module_entry_point(tmp_path):
 def test_cold_import_loads_only_what_commands_run():
     # a fresh interpreter importing the command line compiles and runs no
     # more than a count needs: no dataclass machinery, no serializers
-    # before a table is printed, no matrix, map or poset layer
+    # before a table is printed, no argument parser before a line needs
+    # it, no matrix, map or poset layer
     assert not _modules_after("import fishburn.cli") & {
-        "dataclasses", "inspect", "json", "csv", "fishburn.bijections",
-        "fishburn.matrices", "fishburn.posets"}
+        "dataclasses", "inspect", "json", "csv", "argparse", "gettext", "locale",
+        "fishburn.bijections", "fishburn.matrices", "fishburn.posets"}
+
+
+@pytest.mark.parametrize("command, unused", [
+    (["count", "--family", "rm", "--size", "4"],
+     {"dataclasses", "fishburn.bijections", "fishburn.matrices", "fishburn.posets"}),
+    (["verify", "--identity", "all", "--max-size", "1"],
+     {"dataclasses", "fishburn.posets"}),
+], ids=["count", "verify"])
+def test_cold_run_reads_its_line_without_argparse(command, unused):
+    # -X importtime lists every module the run imports, one per line
+    src = pathlib.Path(__file__).parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "fishburn", *command],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "fishburn.cli" in loaded
+    assert not loaded & ({"argparse", "gettext", "locale", "csv"} | unused)
 
 
 def test_bare_package_import_loads_no_submodule():
@@ -361,3 +384,90 @@ def test_poset_names_resolve_on_first_use():
     assert "canonical_form" not in vars(fishburn)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         fishburn.no_such_name
+
+
+# --- the command-line reader against argparse --------------------------------------
+
+SIZES = ["1", "2", "007", "0", "-3", "\u0663", "1_2", " +2 ", "9" * 5000]
+FAMILIES = ["fishburn", "self_dual", "rm", "sm", "b", "nope"]
+# each subcommand's options and the values drawn for them, None for a flag;
+# "<file>" and "<absent>" stand for a matrix file and a missing one
+VOCABULARY = {
+    "verify": {"--identity": ["eq1", "eq4", "all", "eq7"], "--max-size": SIZES},
+    "count": {"--family": FAMILIES, "--size": SIZES,
+              "--format": ["csv", "json", "xml"]},
+    "map": {"--bijection": ["alpha", "beta_inv", "chain", "gamma"],
+            "--input": ["<file>", "-", "-foo", "<absent>"], "--trace": None},
+    "check": {"--family": FAMILIES, "--input": ["<file>", "-", "-foo", "<absent>"]},
+}
+NOISE = ["--trace", "-h", "--help", "--", "--nope", "verify", "-"]
+
+
+def _random_line(rng, paths):
+    """One command line from VOCABULARY: each option left out, given once
+    or repeated, spelled in full, abbreviated or as --opt=value; now and
+    then a word of NOISE anywhere, a word dropped, or no subcommand."""
+    command = rng.choice(list(VOCABULARY))
+    groups = []
+    for option, values in VOCABULARY[command].items():
+        for _ in range(rng.choice((0, 1, 1, 1, 1, 1, 1, 2))):
+            spelled = option
+            if rng.random() < 0.1:
+                spelled = option[:rng.randint(3, len(option) - 1)]
+            if values is None:
+                groups.append([spelled])
+                continue
+            value = rng.choice(values)
+            value = paths.get(value, value)
+            groups.append([f"{spelled}={value}"] if rng.random() < 0.05
+                          else [spelled, value])
+    rng.shuffle(groups)
+    words = [command] + [word for group in groups for word in group]
+    if rng.random() < 0.15:
+        words.insert(rng.randint(0, len(words)), rng.choice(NOISE))
+    if rng.random() < 0.05:
+        del words[rng.randrange(len(words))]
+    return words
+
+
+def _outcome(argv, stdin_text, monkeypatch, capsys):
+    """(exit status, stdout, stderr with each timing blanked) of main(argv)."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    out, err = capsys.readouterr()
+    return status, out, re.sub(r": \d+\.\d{3}s$", ": <t>s", err, flags=re.M)
+
+
+def test_reader_agrees_with_argparse(tmp_path, monkeypatch, capsys):
+    # the reader must return exactly what argparse returns, or decline; and
+    # main must answer every line alike with the reader declining them all.
+    # The identity checker is replaced, so a line asking for size 7 is cheap
+    assert {command: set(options) for command, (_, options) in cli._COMMANDS.items()} \
+        == {command: set(options) for command, options in VOCABULARY.items()}
+    for _, options in cli._COMMANDS.values():
+        for spec in options.values():
+            assert spec.get("type", cli._positive_int) is cli._positive_int
+            assert spec.get("action", "store_true") == "store_true"
+            assert spec.get("required") or "default" in spec
+    monkeypatch.setattr(cli, "verify_identities", lambda names, n: [
+        IdentityReport(name, n, n < 3, f"checked {name} at {n}") for name in names])
+    paths = {"<file>": write_matrix(tmp_path, A5), "<absent>": str(tmp_path / "absent")}
+    rng = random.Random(23)
+    lines = [_random_line(rng, paths) for _ in range(1000)]
+    read = cli._read_line
+    accepted = dict.fromkeys(VOCABULARY, 0)
+    for argv in lines:
+        args = read(argv)
+        if args is not None:
+            assert args == vars(cli.build_parser().parse_args(argv)), argv
+            accepted[args["command"]] += 1
+        stdin_text = format_matrix(A6)
+        with_reader = _outcome(argv, stdin_text, monkeypatch, capsys)
+        monkeypatch.setattr(cli, "_read_line", lambda argv: None)
+        assert _outcome(argv, stdin_text, monkeypatch, capsys) == with_reader, argv
+        monkeypatch.setattr(cli, "_read_line", read)
+    print("lines the reader accepted, by subcommand:", accepted)
+    assert all(accepted.values()), accepted

@@ -91,6 +91,53 @@ def test_fields_cannot_be_assigned_or_deleted():
     assert ONE.rows == ((1,),)
 
 
+# for each record type, fields unlike those of its value in _one_of_each()
+SECOND_FIELDS = {
+    TriMatrix: (((2,),),),
+    StatVector: (9, 9, 9, 9, 9, 9, 9, Parity.EVEN),
+    BijectionTrace: ((),),
+    SignedRowFishburn: (TriMatrix(((3,),)), 0),
+    Poset: (2, []),
+    LevelDecomposition: (1, {1: 1}, {1: 1}),
+    CountTable: (FamilyTag.B, 9, {}, 0),
+    IdentityReport: ("eq2", 2, True, "ok"),
+    _Leg: ("another leg", [], len, {}),
+    RunReport: (False, "", ()),
+}
+
+
+def test_a_second_init_changes_nothing():
+    # __init__ stores fields past the frozen __setattr__, so calling it on a
+    # built value must refuse, as assignment does, before storing any
+    from fishburn import cli, enumeration, posets  # noqa: F401  every record type
+    from fishburn.records import _Record
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    assert set(SECOND_FIELDS) == {cls for cls in subclasses(_Record)
+                                  if cls.__module__.startswith("fishburn.")}
+    for value in _one_of_each():
+        before = repr(value)
+        hashable = not isinstance(value, (LevelDecomposition, CountTable, _Leg))
+        hashed = hash(value) if hashable else None
+        held = {value: 1} if hashable else {}
+        field = type(value).__slots__[0]
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            value.__init__(*SECOND_FIELDS[type(value)])
+        assert repr(value) == before
+        if hashable:
+            assert hash(value) == hashed and value in held
+    # the case that moved a poset out of reach in a dict
+    p = Poset(2, {(1, 2)})
+    held = {p: 1}
+    with pytest.raises(AttributeError):
+        p.__init__(2, [])
+    assert p in held and p.relation == {(1, 2)}
+
+
 def test_keyword_construction_and_defaults():
     assert TriMatrix(rows=((1,),)) == ONE
     assert RunReport(True, "x").timings == ()
