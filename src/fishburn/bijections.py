@@ -105,15 +105,6 @@ class SignedRowFishburn(_Record):
         _require_bit(self.flag, "flag")
         require(row_fishburn_violation, NotRowFishburn, self.matrix)
 
-    @classmethod
-    def _trusted(cls, matrix, flag):
-        """The pair without validation, for a matrix already known to have
-        every row nonzero and a flag of 0 or 1."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "matrix", matrix)
-        object.__setattr__(s, "flag", flag)
-        return s
-
 
 def _signed(pair):
     # the public value of a body's (rows, flag)

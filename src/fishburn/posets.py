@@ -27,12 +27,13 @@ per twin class, and the search checks a candidate image with two; and
 twins are interchangeable, so the search and ``canonical_form`` permute
 twin classes rather than elements.  The public constructor builds the
 masks in the pass that checks the pairs, then checks transitivity as one
-mask inclusion per pair, the up-set of y inside that of x for x below y;
-``parse_poset`` closes the relation over up-set masks before it.  The
-decoder ``fishburn_to_poset`` reads the masks off the matrix and builds
-no pairs: its row-major labels put the elements above any up-level in
-one suffix of the labels, and those below any level in the columns
-before it.  ``dual_poset`` passes its input's masks on, swapped.
+mask inclusion per pair, the up-set of y inside that of x for x below y.
+``parse_poset`` checks its pairs itself, closes the relation over up-set
+masks, rejects a cycle and reads the down-set masks off the closed
+up-sets.  The decoder ``fishburn_to_poset`` reads the masks off the
+matrix and builds no pairs: its row-major labels put the elements above
+any up-level in one suffix of the labels, and those below any level in
+the columns before it.  ``dual_poset`` passes its input's masks on, swapped.
 ``relation`` is built from the up-set masks when it is read.
 """
 
@@ -76,13 +77,14 @@ class Poset(_Record):
     two tuples of bitmasks: index x - 1 holds element x's set, in which
     bit y - 1 stands for element y.  ``relation``, the set of pairs (x, y)
     with x below y, is built from the up-set masks on each read.  The
-    public constructor (and ``parse_poset``, which goes through it) reads
-    a relation and checks that it is irreflexive and transitive;
-    antisymmetry follows from the two.  The posets the package builds
-    itself, the images of ``fishburn_to_poset`` and ``dual_poset``, come
-    from ``_trusted``, which takes their masks and checks nothing.
-    Equality and hash compare the masks, which fix the relation; repr,
-    copy and pickle write the relation out.
+    public constructor reads a relation rather than the fields: it checks
+    that the relation is irreflexive and transitive (antisymmetry follows
+    from the two), then stores the masks through ``_Record.__init__``.
+    ``parse_poset``, which checks its text itself, ``fishburn_to_poset``
+    and ``dual_poset`` build their posets with ``_trusted(n_elements,
+    down_up)``, which checks nothing.  Equality and hash compare the
+    masks, which fix the relation; repr, copy and pickle write the
+    relation out.
     """
 
     __slots__ = ("n_elements", "_down_up")
@@ -95,13 +97,12 @@ class Poset(_Record):
             raise ValueError(f"the element count must be an integer, not {n!r}")
         if n < 1:
             raise ValueError("a poset needs at least one element")
-        object.__setattr__(self, "n_elements", n)
         # read once, so a one-shot iterable is checked in full
         pairs = tuple(relation)
         downs = [0] * n
         ups = [0] * n
         for x, y in pairs:
-            if not (self._is_element(x) and self._is_element(y)):
+            if not (_is_int(x) and _is_int(y) and 1 <= x <= n and 1 <= y <= n):
                 raise ValueError(f"pair ({x}, {y}) outside elements 1..{n}")
             if x == y:
                 raise ValueError(f"relation is not irreflexive at element {x}")
@@ -115,16 +116,7 @@ class Poset(_Record):
                 raise ValueError(
                     f"relation is not transitive: ({x}, {y}) and ({y}, {w}) "
                     f"without ({x}, {w})")
-        object.__setattr__(self, "_down_up", (tuple(downs), tuple(ups)))
-
-    @classmethod
-    def _trusted(cls, n_elements, down_up):
-        """A poset over ``down_up`` without validation, for masks the
-        caller built to be those of an order on 1..n_elements."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "n_elements", n_elements)
-        object.__setattr__(p, "_down_up", down_up)
-        return p
+        super().__init__(n, (tuple(downs), tuple(ups)))
 
     @property
     def relation(self):
@@ -502,10 +494,13 @@ def parse_poset(text):
         for x in range(1, n + 1):
             if ups[x] >> (k - 1) & 1:
                 ups[x] |= ups[k]
+    downs = [0] * n
     for x in range(1, n + 1):
         if ups[x] >> (x - 1) & 1:
             raise ParseError(f"element {x} lies on a cycle")
-    return Poset(n, ((x, y) for x in range(1, n + 1) for y in _elements(ups[x])))
+        for y in _elements(ups[x]):
+            downs[y - 1] |= 1 << (x - 1)
+    return Poset._trusted(n, (tuple(downs), tuple(ups[1:])))
 
 
 def format_poset(p):

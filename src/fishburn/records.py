@@ -1,8 +1,8 @@
 """The records and errors every module of the package shares: the
 ``MatrixConditionError`` family and ``ParseError``, the ``CellClass`` and
-``Parity`` tags, ``_Record``, the base of every value type, and ``_cells``,
-the one definition of the cell sets the statistics, the refinement keys
-and the generators read.
+``Parity`` tags, ``_Record``, the base of every value type and its one
+construction path, and ``_cells``, the one definition of the cell sets the
+statistics, the refinement keys and the generators read.
 
 They live apart from ``matrices`` so that a module which only names them,
 as ``enumeration`` and ``cli`` do at import time, does not load the matrix
@@ -101,18 +101,25 @@ class _Record:
     """Frozen, slotted value record.
 
     A subclass lists its fields in order as ``__slots__`` and the defaults
-    of trailing fields in ``_defaults``.  It is built from its fields by
-    position or keyword, after which ``__post_init__``, looked up on the
-    class, may validate them.  Values of one class compare and hash by
-    their fields and never equal a value of another class; the repr is
-    ``Name(field=value, ...)``; assigning or deleting a field raises
-    AttributeError; copy and pickle rebuild a value through its
-    constructor.  Calling ``__init__`` on a built value raises
-    AttributeError too, and changes nothing.
+    of trailing fields in ``_defaults``; defining it keeps its slots'
+    setters, in field order, as ``_setters``, through which every value
+    stores its fields.  The public constructor takes them by position or
+    keyword, then runs ``__post_init__``, looked up on the class, which may
+    validate them; ``_trusted(*fields)``, for values the package built
+    itself, takes all of them by position and runs no ``__post_init__``.
+    Values of one class compare and hash by their fields and never equal a
+    value of another class; the repr is ``Name(field=value, ...)``;
+    assigning or deleting a field raises AttributeError; copy and pickle
+    rebuild a value through its public constructor.  Calling ``__init__``
+    on a built value raises AttributeError too, and changes nothing.
     """
 
     __slots__ = ()
     _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -120,9 +127,17 @@ class _Record:
             raise AttributeError(f"cannot assign to field {names[0]!r}")
         if kwargs or len(args) != len(names):
             args = self._arguments(args, kwargs)
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+        for put, value in zip(self._setters, args):
+            put(self, value)
         self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """The value over all its fields, in order, without ``__post_init__``."""
+        value = object.__new__(cls)
+        for put, field in zip(cls._setters, fields):
+            put(value, field)
+        return value
 
     @classmethod
     def _arguments(cls, args, kwargs):

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, and byte
 stability, driven through main() plus one real interpreter run."""
 
+import gc
 import io
 import os
 import pathlib
@@ -13,7 +14,7 @@ import pytest
 
 from fishburn import bijections, cli, format_matrix
 from fishburn.cli import main
-from fishburn.enumeration import IdentityReport
+from fishburn.enumeration import IDENTITIES, IdentityReport, enumerate_family, verify_identities
 from vectors import (
     A5,
     A6,
@@ -100,6 +101,39 @@ def test_verify_failure_prints_counterexample(monkeypatch, capsys):
     out, _ = capsys.readouterr()
     assert "eq1 n=1: FAIL (" in out
     assert "FAILURES detected\ncounterexample:\n2\n1 0\n0 1\n" in out
+
+
+def test_verify_pass_makes_no_reference_cycles():
+    # what lets verify pause the cyclic collector: with it paused, the
+    # pass (walk and cache included) leaves nothing only it could free
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_family.cache_clear()
+        assert all(r.passed for r in verify_identities(IDENTITIES, 4))
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_verify_leaves_the_collector_as_it_found_it(collecting, monkeypatch):
+    def failing(names, n):
+        raise RuntimeError("pass interrupted")
+
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["verify", "--identity", "eq3", "--max-size", "2"]) == 0
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(cli, "verify_identities", failing)
+        with pytest.raises(RuntimeError, match="pass interrupted"):
+            main(["verify", "--identity", "eq3", "--max-size", "2"])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("value", ["0", "\u0663", " +2 ", "1_2"],

@@ -70,6 +70,11 @@ def test_equal_values_hash_equal_and_classes_never_mix():
         assert a == b
         if not isinstance(a, (LevelDecomposition, CountTable, _Leg)):
             assert hash(a) == hash(b)
+    # a matrix hashes as the tuple of its one field, so sets and dicts of
+    # matrices keep their iteration order
+    for rows in (((1,),), ((1, 0), (0, 2)), ((0, 1, 1), (0, 1, 0), (0, 0, 3))):
+        assert hash(TriMatrix(rows)) == hash((rows,))
+        assert hash(TriMatrix._trusted(rows)) == hash((rows,))
     assert TriMatrix(((1, 0), (0, 1))) != TriMatrix(((1, 0), (0, 2)))
     # one field holding the same value: another class, or the bare values
     assert ONE != BijectionTrace(ONE.rows)
@@ -106,6 +111,31 @@ SECOND_FIELDS = {
 }
 
 
+def _trusted_twin(value):
+    # the value rebuilt from its stored fields by the trusted path
+    return type(value)._trusted(*value._values())
+
+
+def test_trusted_build_equals_the_public_constructor():
+    publics = _one_of_each() + [cls(*fields) for cls, fields in SECOND_FIELDS.items()]
+    for public in publics:
+        trusted = _trusted_twin(public)
+        assert type(trusted) is type(public)
+        assert trusted == public
+        assert repr(trusted) == repr(public)
+        if not isinstance(public, (LevelDecomposition, CountTable, _Leg)):
+            assert hash(trusted) == hash(public)
+        twin = pickle.loads(pickle.dumps(trusted))
+        assert twin == public and repr(twin) == repr(public)
+
+
+def test_every_record_stores_through_its_slot_setters():
+    for cls in SECOND_FIELDS:
+        assert len(cls._setters) == len(cls.__slots__)
+        assert [put.__self__ for put in cls._setters] == [
+            cls.__dict__[name] for name in cls.__slots__]
+
+
 def test_a_second_init_changes_nothing():
     # __init__ stores fields past the frozen __setattr__, so calling it on a
     # built value must refuse, as assignment does, before storing any
@@ -119,7 +149,7 @@ def test_a_second_init_changes_nothing():
 
     assert set(SECOND_FIELDS) == {cls for cls in subclasses(_Record)
                                   if cls.__module__.startswith("fishburn.")}
-    for value in _one_of_each():
+    for value in _one_of_each() + [_trusted_twin(v) for v in _one_of_each()]:
         before = repr(value)
         hashable = not isinstance(value, (LevelDecomposition, CountTable, _Leg))
         hashed = hash(value) if hashable else None
