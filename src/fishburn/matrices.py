@@ -74,29 +74,10 @@ class TriMatrix(_Record):
     from already valid matrices, the generators' members, the images of
     ``dual``, ``reduce``, ``expand`` and the maps, and the encoding
     ``poset_to_fishburn``, are built by ``_trusted``, which skips that check.
-
-    ``__init__`` and ``_trusted`` are written out for the one field rather
-    than taken from ``_Record``, as parsing and every map build one matrix
-    per call: ``_Record``'s versions made the median single-matrix request
-    3 % slower, in 8 of 10 alternated runs.  Equality and hash are
-    ``_Record``'s.
+    Both constructors, equality and hash are ``_Record``'s.
     """
 
     __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        if hasattr(self, "rows"):
-            raise AttributeError("cannot assign to field 'rows'")
-        _set_rows(self, rows)
-        self.__post_init__()
-
-    @classmethod
-    def _trusted(cls, rows):
-        """A matrix over ``rows`` without validation, for rows the caller
-        built to satisfy every condition ``__post_init__`` checks."""
-        m = object.__new__(cls)
-        _set_rows(m, rows)
-        return m
 
     def __post_init__(self):
         if not isinstance(self.rows, tuple) or not self.rows:
@@ -147,9 +128,6 @@ class TriMatrix(_Record):
         if not 1 <= j <= self.dim:
             raise IndexError(f"column {j} outside dimension {self.dim}")
         return sum(row[j - 1] for row in self.rows)
-
-
-(_set_rows,) = TriMatrix._setters
 
 
 class StatVector(_Record):

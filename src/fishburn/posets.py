@@ -90,8 +90,6 @@ class Poset(_Record):
     __slots__ = ("n_elements", "_down_up")
 
     def __init__(self, n_elements, relation):
-        if hasattr(self, "n_elements"):
-            raise AttributeError("cannot assign to field 'n_elements'")
         n = n_elements
         if not _is_int(n):
             raise ValueError(f"the element count must be an integer, not {n!r}")

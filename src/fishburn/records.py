@@ -106,7 +106,8 @@ class _Record:
     stores its fields.  The public constructor takes them by position or
     keyword, then runs ``__post_init__``, looked up on the class, which may
     validate them; ``_trusted(*fields)``, for values the package built
-    itself, takes all of them by position and runs no ``__post_init__``.
+    itself, takes exactly one value per field, by position, and runs no
+    ``__post_init__``.
     Values of one class compare and hash by their fields and never equal a
     value of another class; the repr is ``Name(field=value, ...)``;
     assigning or deleting a field raises AttributeError; copy and pickle
@@ -134,8 +135,12 @@ class _Record:
     @classmethod
     def _trusted(cls, *fields):
         """The value over all its fields, in order, without ``__post_init__``."""
+        setters = cls._setters
+        if len(fields) != len(setters):
+            raise TypeError(f"{cls.__qualname__}._trusted() takes {len(setters)} "
+                            f"fields but {len(fields)} were given")
         value = object.__new__(cls)
-        for put, field in zip(cls._setters, fields):
+        for put, field in zip(setters, fields):
             put(value, field)
         return value
 

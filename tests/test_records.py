@@ -127,6 +127,13 @@ def test_trusted_build_equals_the_public_constructor():
             assert hash(trusted) == hash(public)
         twin = pickle.loads(pickle.dumps(trusted))
         assert twin == public and repr(twin) == repr(public)
+    # one value per field, no fewer and no more, or the call itself raises
+    for public in publics:
+        fields = public._values()
+        with pytest.raises(TypeError, match=f"takes {len(fields)} fields but"):
+            type(public)._trusted(*fields[:-1])
+        with pytest.raises(TypeError, match=f"takes {len(fields)} fields but"):
+            type(public)._trusted(*fields, None)
 
 
 def test_every_record_stores_through_its_slot_setters():
