@@ -93,6 +93,8 @@ def family_member(family, m):
 def family_size(family, m):
     """The family's size notion: entry sum, except the NW plus diagonal sum
     for the self-dual family."""
+    if not isinstance(family, FamilyTag):
+        raise ValueError(f"unknown family {family!r}")
     if family is FamilyTag.SELF_DUAL:
         from .matrices import reduced_size
 
@@ -219,6 +221,13 @@ def _builder(d, cells, mirrored):
     return build
 
 
+def _check_size(n):
+    # a bool or a float such as 2.0 is no size, even where it compares
+    # equal to one
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, not {n!r}")
+
+
 def _plan(family, n):
     """One (d, free cells in row-major order, their ``_lines``) per
     dimension, ascending: the members at d are the value tuples of size n
@@ -228,8 +237,7 @@ def _plan(family, n):
     column d + 1 - i nonzero for each i up to h."""
     if not isinstance(family, FamilyTag):
         raise ValueError(f"unknown family {family!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size(n)
     if family is FamilyTag.SM or family is FamilyTag.SELF_DUAL:
         sm = family is FamilyTag.SM
         for d in range(1, 2 * n + 2, 2) if sm else range(1, 2 * n + 1):
@@ -257,7 +265,9 @@ def _walk(family, n):
         yield from map(_builder(d, cells, mirrored), _fill_assignments(n, *lines))
 
 
-@lru_cache(maxsize=None)
+# typed, so that a call with n = True is no hit on n = 1 and reaches the
+# size check
+@lru_cache(maxsize=None, typed=True)
 def enumerate_family(family, n):
     """Every member of the family at size n (reduced size for SELF_DUAL),
     each exactly once, ascending dimension then ascending row-major
@@ -500,8 +510,7 @@ def verify_identities(identities, n):
     for identity in identities:
         if identity not in IDENTITIES:
             raise ValueError(f"unknown identity {identity!r}, expected one of {IDENTITIES}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size(n)
     from .bijections import _chain
     from .matrices import stats
 

@@ -17,15 +17,18 @@ sends a twin class (elements with equal down-set and up-set) of profile
 (down-set size, up-set size) = (a, b) onto a class of profile (b, a).
 When each profile names one twin class, as in every interval order, that
 class map is the one candidate and is checked directly; other posets go
-to a backtracking search over element assignments.
+to a backtracking search that pairs twin classes.
 
 A poset stores only its per-element down-set and up-set bitmasks (bit
 x - 1 stands for element x), and every kernel works on them.  The level
 chains sort distinct masks by popcount and test inclusion as
-``a & ~b == 0``; the forced candidate is checked as one mask comparison
-per twin class, and the search checks a candidate image with two; and
-twins are interchangeable, so the search and ``canonical_form`` permute
-twin classes rather than elements.  The public constructor builds the
+``a & ~b == 0``; the down-sets form a chain exactly when the up-sets do,
+so only the down-sets are tested.  Twins are interchangeable, and
+``_twin_classes`` holds each class as one mask of its members, which the
+forced check, the search and ``canonical_form`` all read: the forced
+candidate is checked as one mask comparison per class, the search checks
+a candidate image class with two, and ``canonical_form`` permutes classes
+rather than elements.  The public constructor builds the
 masks in the pass that checks the pairs, then checks transitivity as one
 mask inclusion per pair, the up-set of y inside that of x for x below y.
 ``parse_poset`` checks its pairs itself, closes the relation over up-set
@@ -187,19 +190,16 @@ def _chain(masks):
 
 def _levels(p):
     """The magnitude and every element's level and up-level, as two lists
-    indexed by element - 1.  Raises NotIntervalOrder when either family of
-    sets fails to form a chain."""
+    indexed by element - 1.  Raises NotIntervalOrder unless the down-sets
+    form a chain; the up-sets then form one too, of the same length."""
     downs, ups = p._down_up
     down_chain = _chain(downs)
-    up_chain = _chain(ups)
-    if down_chain is None or up_chain is None:
+    if down_chain is None:
         raise NotIntervalOrder("down-sets or up-sets do not form a chain")
-    if len(down_chain) != len(up_chain):
-        raise NotIntervalOrder("down-set and up-set chains have different lengths")
     magnitude = len(down_chain)
     level = {s: i for i, s in enumerate(down_chain, start=1)}
     # up-levels index the up-sets from the largest down
-    up_level = {s: magnitude - i for i, s in enumerate(up_chain)}
+    up_level = {s: magnitude - i for i, s in enumerate(_chain(ups))}
     return magnitude, [level[s] for s in downs], [up_level[s] for s in ups]
 
 
@@ -279,13 +279,14 @@ def dual_poset(p):
     return Poset._trusted(p.n_elements, p._down_up[::-1])
 
 
-def _twin_classes(downs, ups):
+def _twin_classes(p):
     """Twins, elements with equal down-set and up-set, grouped by those two
-    masks; each class lists its elements (0-based) in ascending order.
-    Swapping two twins is an automorphism."""
+    masks: the mask of each class's members, keyed by (down, up).  A twin
+    class lies wholly inside or wholly outside every down-set and up-set,
+    and swapping two twins is an automorphism."""
     classes = {}
-    for x, key in enumerate(zip(downs, ups)):
-        classes.setdefault(key, []).append(x)
+    for x, key in enumerate(zip(*p._down_up)):
+        classes[key] = classes.get(key, 0) | 1 << x
     return classes
 
 
@@ -303,11 +304,7 @@ def is_self_dual_poset(p):
     down(f(x)) says x < y iff f(y) < f(x).)  Other posets go to
     ``_self_dual_by_search``.  Neither reads the matrix encoding.
     """
-    downs, ups = p._down_up
-    # the members of each twin class as one mask
-    members = {}
-    for x, key in enumerate(zip(downs, ups)):
-        members[key] = members.get(key, 0) | 1 << x
+    members = _twin_classes(p)
     by_profile = {(down.bit_count(), up.bit_count()): (down, up) for down, up in members}
     if len(by_profile) < len(members):
         return _self_dual_by_search(p)
@@ -335,56 +332,48 @@ def is_self_dual_poset(p):
 
 def _self_dual_by_search(p):
     """Decide isomorphism between the poset and its reversal by backtracking
-    over element assignments, pruning on (down-set size, up-set size).
+    over pairings of twin classes.
 
-    Element x may go to y when y's profile, reversed, is x's.  Twins are
-    interchangeable, so each step tries one free element per twin class.
-    Every unassigned x keeps two bitmasks, the images of its assigned
-    up-neighbours and of its assigned down-neighbours; x -> y agrees with
-    the assignment so far exactly when the assigned part of y's down-set
-    is the first and that of y's up-set the second, so no reversed
+    Twins are interchangeable, so an isomorphism onto the reversal pairs
+    the classes, each with a class of reversed profile and equal size that
+    no other takes.  The classes are paired one per level, and a free
+    candidate agrees with the pairs made so far exactly when the images
+    in its down-set are those of the classes above the current one, and
+    the images in its up-set those of the classes below, so no reversed
     relation is built.
     """
-    n = p.n_elements
-    downs, ups = p._down_up
-    profile = [(d.bit_count(), u.bit_count()) for d, u in zip(downs, ups)]
-    # the reversal swaps each element's profile pair
-    if sorted(profile) != sorted((b, a) for a, b in profile):
-        return False
-    by_reversed = {}
-    for (down, up), members in _twin_classes(downs, ups).items():
-        by_reversed.setdefault((up.bit_count(), down.bit_count()), []).append(
-            (sum(1 << y for y in members), down, up))
-    order = sorted(range(n), key=profile.__getitem__)
-    # bitmasks of where the assigned elements above and below each one went
-    images_above = [0] * n
-    images_below = [0] * n
+    # the classes by (down-set size, up-set size, class size)
+    groups = {}
+    for (down, up), members in _twin_classes(p).items():
+        groups.setdefault((down.bit_count(), up.bit_count(), members.bit_count()),
+                          []).append((members, down, up))
+    for a, b, size in groups:
+        if (b, a, size) not in groups:
+            return False
+    # each class with its candidate images
+    levels = [(members, down, up, groups[b, a, size])
+              for (a, b, size), group in groups.items() for members, down, up in group]
 
-    def toggle(x, y):
-        # x's down-neighbours gain (or lose) the image y above them, and its
-        # up-neighbours the image y below them
-        for images, neighbours in ((images_above, downs[x]), (images_below, ups[x])):
-            for z in _elements(neighbours):
-                images[z - 1] ^= y
-
-    def extend(idx, used):
-        if idx == n:
+    def extend(paired, used):
+        if len(paired) == len(levels):
             return True
-        x = order[idx]
-        # the reversal turns what lies above x into what lies below its image
-        above, below = images_above[x], images_below[x]
-        for members, down, up in by_reversed[profile[x]]:
-            free = members & ~used
-            if not free or down & used != above or up & used != below:
+        members, down, up, candidates = levels[len(paired)]
+        # the reversal turns what lies above the class into what lies below
+        # its image
+        above = below = 0
+        for source, image in paired:
+            if source & up:
+                above |= image
+            elif source & down:
+                below |= image
+        for image, image_down, image_up in candidates:
+            if image & used or image_down & used != above or image_up & used != below:
                 continue
-            y = free & -free
-            toggle(x, y)
-            if extend(idx + 1, used | y):
+            if extend(paired + [(members, image)], used | image):
                 return True
-            toggle(x, y)
         return False
 
-    return extend(0, 0)
+    return extend([], 0)
 
 
 # --- isomorphism classes ----------------------------------------------------------------
@@ -423,13 +412,14 @@ def canonical_form(p):
     if not relation:
         return (n, ())
     by_profile = {}
-    for (down, up), members in _twin_classes(*p._down_up).items():
-        by_profile.setdefault((down.bit_count(), up.bit_count()), []).append(members)
+    for (down, up), members in _twin_classes(p).items():
+        by_profile.setdefault((down.bit_count(), up.bit_count()), []).append(
+            _elements(members))
     blocks = [by_profile[key] for key in sorted(by_profile)]
     # class k of a block appears len(class k) times in its index multiset
     slots = [[k for k, members in enumerate(block) for _ in members]
              for block in blocks]
-    relabel = [0] * n
+    relabel = [0] * (n + 1)
     best = None
     for arrangement in itertools.product(*map(_multiset_permutations, slots)):
         position = 1
@@ -438,7 +428,7 @@ def canonical_form(p):
             for k in indices:
                 relabel[next(pending[k])] = position
                 position += 1
-        encoded = tuple(sorted((relabel[x - 1], relabel[y - 1]) for x, y in relation))
+        encoded = tuple(sorted((relabel[x], relabel[y]) for x, y in relation))
         if best is None or encoded < best:
             best = encoded
     return (n, best)

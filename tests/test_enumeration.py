@@ -104,6 +104,22 @@ def test_enumerate_rejects_nonpositive_size():
         count_refined("rm", 2)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, 0, -1, "2"])
+def test_sized_entry_points_reject_a_size_that_is_no_positive_int(n):
+    # True equals 1 and 2.0 equals 2, yet neither is a size.  The cache of
+    # enumerate_family is typed, so a cached n = 1 does not answer n = True
+    enumerate_family(FamilyTag.RM, 1)
+    message = f"n must be an integer of at least 1, not {n!r}"
+    for family in (FamilyTag.RM, FamilyTag.SELF_DUAL):
+        for call in (enumerate_family, count_refined):
+            with pytest.raises(ValueError) as caught:
+                call(family, n)
+            assert str(caught.value) == message
+    with pytest.raises(ValueError) as caught:
+        verify_identities(IDENTITIES, n)
+    assert str(caught.value) == message
+
+
 # SHA-256 of repr([m.rows for m in members]) and of count_refined(...).to_json()
 # for every family and n = 1..7: n <= 6 recorded from the recursive walk,
 # n = 7 from the frame-stack walk, each before the walk that replaced it;
@@ -376,10 +392,10 @@ def test_refinement_keys_agree_with_stats():
 
 @pytest.mark.parametrize("family", ["rm", None, "fishburn", 2])
 def test_refinement_key_rejects_an_unknown_family(family):
-    # a family named by its value is no tag, as for the membership checks
-    # and the count tables
+    # a family named by its value is no tag, as for the membership checks,
+    # the size notion and the count tables
     m = TriMatrix(((1, 0), (0, 1)))
-    for call in (refinement_key, family_violation):
+    for call in (refinement_key, family_violation, family_size):
         with pytest.raises(ValueError, match=f"unknown family {family!r}"):
             call(family, m)
     with pytest.raises(ValueError, match=f"unknown family {family!r}"):

@@ -137,6 +137,13 @@ def test_decomposition_succeeds_exactly_on_interval_orders():
         else:
             with pytest.raises(NotIntervalOrder):
                 level_decomposition(p)
+    # the decomposition tests only the down-sets: they form a chain exactly
+    # when the up-sets do, and the two chains are then equally long
+    for n in range(1, 6):
+        for p in all_posets(n):
+            downs, ups = map(posets._chain, p._down_up)
+            assert (downs is None) == (ups is None) \
+                and (downs is None or len(downs) == len(ups)), p
 
 
 def test_level_decomposition_golden():
@@ -423,7 +430,7 @@ def test_self_duality_vectors():
     # a 2-chain reverses onto itself by swapping its endpoints
     assert is_self_dual_poset(Poset(2, frozenset({(1, 2)})))
     # the fence 4 > 2 < 1 > 5 < 3 > 6 is self-dual, but the search reaches
-    # its reversal only after backing out of a first assignment that fails
+    # its reversal only after backing out of a first pairing that fails
     assert is_self_dual_poset(Poset(6, frozenset({(2, 1), (2, 4), (5, 1), (5, 3), (6, 3)})))
 
 
@@ -472,6 +479,25 @@ def test_forced_class_map_must_pair_equal_sizes():
         for y, j in enumerate(tops, start=1) if j in (i, (i + 1) % 4)))
     assert not is_self_dual_poset(p)
     assert not _self_dual_by_search(p)
+    assert canonical_form(p) != canonical_form(dual_poset(p))
+
+
+@pytest.mark.parametrize("relation", [
+    # two classes of one profile would share an image were the search to
+    # let a class take an image already taken
+    {(5, 1), (6, 1), (7, 2), (7, 4), (8, 3), (9, 3)},
+    # a pairing would pass on the images below each class alone
+    {(2, 4), (5, 2), (5, 3), (5, 4), (6, 1), (7, 1), (7, 4)},
+    # and another on the images above each class alone
+    {(1, 4), (1, 5), (2, 5), (3, 4), (3, 6), (3, 7), (7, 4)},
+])
+def test_search_rejects_pairings_that_fail_one_test(relation):
+    # none of these is self-dual.  The search turns each down only by the
+    # free-image test, the down-set test or the up-set test respectively,
+    # and posets of up to five elements need none of the three
+    p = Poset(max(map(max, relation)), frozenset(relation))
+    assert not _self_dual_by_search(p)
+    assert not is_self_dual_poset(p)
     assert canonical_form(p) != canonical_form(dual_poset(p))
 
 
@@ -599,6 +625,14 @@ def test_parse_poset_takes_transitive_closure():
     p = parse_poset(f"{n}\n" + "".join(f"{x} {x + 1}\n" for x in range(n - 1, 0, -1)))
     assert p.relation == frozenset(itertools.combinations(range(1, n + 1), 2))
     assert is_interval_order(p)
+
+
+def test_parse_poset_skips_blank_lines():
+    # only nonempty lines hold pairs: empty and whitespace-only lines
+    # between and after them are skipped
+    p = parse_poset("3\n\n1 2\n   \n\t\n2 3\n\n \n")
+    assert p == parse_poset("3\n1 2\n2 3\n")
+    assert p.relation == frozenset({(1, 2), (2, 3), (1, 3)})
 
 
 def test_parse_poset_roundtrip():
