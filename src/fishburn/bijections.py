@@ -50,6 +50,8 @@ output last.  Traces are value copies, never views, and are built only
 when requested.
 """
 
+from operator import itemgetter
+
 from .matrices import (
     DegenerateMatrix,
     MatrixConditionError,
@@ -65,6 +67,7 @@ from .matrices import (
     _expand_rows,
     _flat,
     _gather,
+    _is_int,
     _place,
     _Record,
     _reduce,
@@ -88,7 +91,7 @@ class BijectionTrace(_Record):
 
 def _require_bit(value, name):
     # the ints 0 and 1 only, as ``TriMatrix`` takes no bool or float cell
-    if isinstance(value, bool) or not isinstance(value, int) or value not in (0, 1):
+    if not _is_int(value) or value not in (0, 1):
         raise ValueError(f"{name} must be 0 or 1")
 
 
@@ -166,7 +169,7 @@ def alpha_inv(s, want_trace=False):
     k = s.dim // 2
     g = TriMatrix._trusted(_swap_center(s.rows))
     steps = [("A(0)", s), ("A(1)", g)]
-    if k >= 1 and not any(row[k] for row in g.rows) and not any(g.rows[k]):
+    if k >= 1 and not any(map(itemgetter(k), g.rows)) and not any(g.rows[k]):
         g = TriMatrix._trusted(_drop_line(g.rows, k))
         steps.append(("A(2)", g))
     # the swap and the drop keep SE zero, so only expandability is left to
@@ -438,7 +441,7 @@ def sm_to_em(s):
     k = s.dim // 2
     if k == 0:
         raise MatrixConditionError("dimension 1 input has no even-dimension preimage")
-    if any(row[k] for row in s.rows) or any(s.rows[k]):
+    if any(map(itemgetter(k), s.rows)) or any(s.rows[k]):
         raise MatrixConditionError(
             f"column {k + 1} or row {k + 1} nonzero, not in the embedding image")
     return TriMatrix._trusted(_expand_rows(_drop_line(s.rows, k)))

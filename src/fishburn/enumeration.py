@@ -50,7 +50,7 @@ from enum import Enum
 from functools import cache, lru_cache
 from operator import attrgetter
 
-from .records import Parity, _cells, _Record
+from .records import Parity, _cells, _is_int, _Record
 
 # --- family tags -------------------------------------------------------------
 
@@ -224,7 +224,7 @@ def _builder(d, cells, mirrored):
 def _check_size(n):
     # a bool or a float such as 2.0 is no size, even where it compares
     # equal to one
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"n must be an integer of at least 1, not {n!r}")
 
 

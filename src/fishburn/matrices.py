@@ -31,10 +31,18 @@ cells, are defined once, in ``records._cells``; ``_cell_getters`` keeps one
 getter per set and dimension, which ``stats``, ``reduced_size`` and
 ``super_triangular_violation`` read.  ``format_matrix`` likewise keeps one
 text template per dimension and fills it from the cells in row-major order.
+
+Per-cell and per-line work runs in bulk, at C speed: the constructor tests
+each row with three scans, the membership conditions test whole rows,
+columns or cell sets, and ``parse_matrix`` tests a whole body with one
+``isdigit`` and, when every entry is one digit, decodes it with one
+``bytes.translate``.  Only what fails a bulk test is read again cell by
+cell, for the message naming its first offender.
 """
 
+import sys
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -54,10 +62,11 @@ from .records import (
     Parity,
     ParseError,
     _cells,
+    _is_int,
     _Record,
 )
 
-_PLAIN_INT = {int}
+_PLAIN_INT = frozenset({int})
 
 
 class TriMatrix(_Record):
@@ -80,19 +89,21 @@ class TriMatrix(_Record):
     __slots__ = ("rows",)
 
     def __post_init__(self):
-        if not isinstance(self.rows, tuple) or not self.rows:
+        rows = self.rows
+        if not isinstance(rows, tuple) or not rows:
             raise ValueError("rows must be a nonempty tuple of row tuples")
-        m = len(self.rows)
-        for i, row in enumerate(self.rows, start=1):
+        m = len(rows)
+        for i, row in enumerate(rows, start=1):
             if not isinstance(row, tuple) or len(row) != m:
                 raise ValueError(f"row {i} must be a tuple of {m} entries")
             # a row of plain ints, none negative and none nonzero left of the
             # diagonal, passes in bulk; only another row is walked cell by
             # cell, for the message of its first offending cell
-            if set(map(type, row)) == _PLAIN_INT and min(row) >= 0 and not any(row[:i - 1]):
+            if _PLAIN_INT.issuperset(map(type, row)) and min(row) >= 0 \
+                    and not any(row[:i - 1]):
                 continue
             for j, value in enumerate(row, start=1):
-                if isinstance(value, bool) or not isinstance(value, int):
+                if not _is_int(value):
                     raise ValueError(f"cell ({i}, {j}) must be an integer")
                 if value < 0:
                     raise ValueError(f"cell ({i}, {j}) must be nonnegative")
@@ -179,28 +190,30 @@ def selfdual_violation(m):
     if _dual_rows(rows) == rows:
         return None
     d = len(rows)
-    for i, j in _cells(d)["upper"]:
-        a, b = rows[i - 1][j - 1], rows[d - j][d - i]
-        if a != b:
-            return (f"cell ({i}, {j}) holds {a} but its mirror "
-                    f"({d + 1 - j}, {d + 1 - i}) holds {b}")
-    return None
+    i, j = next((i, j) for i, j in _cells(d)["upper"]
+                if rows[i - 1][j - 1] != rows[d - j][d - i])
+    return (f"cell ({i}, {j}) holds {rows[i - 1][j - 1]} but its mirror "
+            f"({d + 1 - j}, {d + 1 - i}) holds {rows[d - j][d - i]}")
+
+
+# The line tests run at C speed; only a matrix that fails one is scanned
+# again, for its first zero line.
 
 
 def _row_violation(m, first):
-    for i, row in enumerate(m.rows[first - 1:], start=first):
-        if not any(row):
-            return f"row {i} zero"
-    return None
+    rows = m.rows[first - 1:]
+    if all(map(any, rows)):
+        return None
+    i = next(i for i, row in enumerate(rows, start=first) if not any(row))
+    return f"row {i} zero"
 
 
 def _column_violation(m, last):
-    for c, column in enumerate(zip(*m.rows), start=1):
-        if c > last:
-            break
-        if not any(column):
-            return f"column {c} zero"
-    return None
+    rows = m.rows
+    if all(map(any, islice(zip(*rows), last))):
+        return None
+    c = next(c for c, column in enumerate(zip(*rows), start=1) if not any(column))
+    return f"column {c} zero"
 
 
 def fishburn_violation(m):
@@ -222,10 +235,8 @@ def super_triangular_violation(m):
     # for its first cell
     if not any(_cell_getters(d)["se"](_flat(rows))):
         return None
-    for i, j in _cells(d)["se"]:
-        if rows[i - 1][j - 1] != 0:
-            return f"SE cell ({i}, {j}) holds {rows[i - 1][j - 1]}, want 0"
-    return None
+    i, j = next((i, j) for i, j in _cells(d)["se"] if rows[i - 1][j - 1])
+    return f"SE cell ({i}, {j}) holds {rows[i - 1][j - 1]}, want 0"
 
 
 def _pairing_violation(m, rows):
@@ -235,7 +246,7 @@ def _pairing_violation(m, rows):
     lines = m.rows
     d = len(lines)
     for i in rows:
-        if not any(lines[i - 1]) and not any(row[d - i] for row in lines):
+        if not any(lines[i - 1]) and not any(map(itemgetter(d - i), lines)):
             return f"row {i} and column {d + 1 - i} both zero"
     return None
 
@@ -394,40 +405,77 @@ def _is_uint(token):
     return token.isascii() and token.isdigit()
 
 
+def _read_uint(token, what):
+    """``int`` of an ASCII digit string, or a ParseError naming ``what`` for
+    a string with more digits than ``int`` converts (see
+    ``sys.get_int_max_str_digits``)."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{what} has more than {sys.get_int_max_str_digits()} "
+                         f"digits") from None
+
+
+# each ASCII digit to the byte of its value
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def parse_matrix(text):
     lines = text.splitlines()
-    if not lines or not lines[0].split():
+    head = lines[0].split() if lines else ()
+    d = _read_uint(head[0], "line 1: the dimension") \
+        if len(head) == 1 and _is_uint(head[0]) else 0
+    if d < 1:
         raise ParseError("line 1: expected a positive dimension")
-    head = lines[0].split()
-    if len(head) != 1 or not _is_uint(head[0]) or int(head[0]) < 1:
-        raise ParseError("line 1: expected a positive dimension")
-    d = int(head[0])
     if len(lines) < d + 1:
         raise ParseError(f"line {len(lines) + 1}: expected {d} matrix rows, "
                          f"found {len(lines) - 1}")
-    rows = []
-    for i in range(1, d + 1):
-        parts = lines[i].split()
-        if len(parts) != d:
-            raise ParseError(f"line {i + 1}: expected {d} entries, found {len(parts)}")
-        # one test for the whole row; a faulty row is read again token by
-        # token, so its first fault left to right names the message
-        if _is_uint("".join(parts)):
-            row = tuple(map(int, parts))
-            if not any(row[:i - 1]):
-                rows.append(row)
-                continue
-        for j, token in enumerate(parts, start=1):
-            if not _is_uint(token):
-                raise ParseError(f"line {i + 1}: entry {j} is not a nonnegative integer")
-            if j < i and int(token) != 0:
-                raise ParseError(
-                    f"cell ({i}, {j}) lies below the main diagonal and must be 0")
+    body = [line.split() for line in lines[1:d + 1]]
+    rows = _bulk_rows(body, d)
+    if rows is None:
+        _raise_first_fault(body, d)
     # the rows already pass every check, yet they go through the public
     # constructor: the parse boundary is where validation runs and is
     # counted (the tests' and the benchmark's constructor counts read it),
     # and its bulk row test makes the second look cheap
-    return TriMatrix(tuple(rows))
+    return TriMatrix(rows)
+
+
+def _bulk_rows(body, d):
+    """The rows of a body whose every line holds d entries and whose every
+    cell left of the main diagonal is 0, else None.  Everything but the
+    diagonal test, one pass over the rows, runs at C speed."""
+    digits = "".join(map("".join, body))
+    if set(map(len, body)) != {d} or not _is_uint(digits):
+        return None
+    if len(digits) == d * d:
+        # one digit per entry: the whole body's values come from one
+        # translation of its digits, cut into rows of d by one zip
+        rows = tuple(zip(*[iter(digits.encode().translate(_DIGIT_VALUES))] * d))
+    else:
+        try:
+            rows = tuple([tuple(map(int, parts)) for parts in body])
+        except ValueError:  # an entry with more digits than ``int`` converts
+            return None
+    for i, row in enumerate(rows):
+        if any(row[:i]):
+            return None
+    return rows
+
+
+def _raise_first_fault(body, d):
+    """Raise the ParseError of the first fault of a body ``_bulk_rows``
+    refused, reading lines top down and each line left to right."""
+    for i, parts in enumerate(body, start=1):
+        if len(parts) != d:
+            raise ParseError(f"line {i + 1}: expected {d} entries, found {len(parts)}")
+        for j, token in enumerate(parts, start=1):
+            if not _is_uint(token):
+                raise ParseError(f"line {i + 1}: entry {j} is not a nonnegative integer")
+            if j < i and token.strip("0"):
+                raise ParseError(
+                    f"cell ({i}, {j}) lies below the main diagonal and must be 0")
+            _read_uint(token, f"line {i + 1}: entry {j}")
 
 
 def format_matrix(m):

@@ -47,7 +47,9 @@ from .matrices import (
     NotSelfDual,
     ParseError,
     TriMatrix,
+    _is_int,
     _is_uint,
+    _read_uint,
     _Record,
     fishburn_violation,
     reduced_size,
@@ -67,10 +69,6 @@ class NotSelfDualMatrix(NotSelfDual):
 
 
 # --- core types ----------------------------------------------------------------
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Poset(_Record):
@@ -455,12 +453,11 @@ def reduced_size_of_interval_order(p):
 
 def parse_poset(text):
     lines = text.splitlines()
-    if not lines or not lines[0].split():
+    head = lines[0].split() if lines else ()
+    n = _read_uint(head[0], "line 1: the element count") \
+        if len(head) == 1 and _is_uint(head[0]) else 0
+    if n < 1:
         raise ParseError("line 1: expected a positive element count")
-    head = lines[0].split()
-    if len(head) != 1 or not _is_uint(head[0]) or int(head[0]) < 1:
-        raise ParseError("line 1: expected a positive element count")
-    n = int(head[0])
     # bit y - 1 of ups[x] stands for y above x
     ups = [0] * (n + 1)
     for lineno, line in enumerate(lines[1:], start=2):
@@ -469,7 +466,7 @@ def parse_poset(text):
             continue
         if len(parts) != 2 or not all(map(_is_uint, parts)):
             raise ParseError(f"line {lineno}: expected a pair of element numbers")
-        x, y = int(parts[0]), int(parts[1])
+        x, y = (_read_uint(part, f"line {lineno}: an element number") for part in parts)
         if not (1 <= x <= n and 1 <= y <= n):
             raise ParseError(f"line {lineno}: pair ({x}, {y}) outside elements 1..{n}")
         if x == y:

@@ -1,8 +1,10 @@
 """The records and errors every module of the package shares: the
 ``MatrixConditionError`` family and ``ParseError``, the ``CellClass`` and
 ``Parity`` tags, ``_Record``, the base of every value type and its one
-construction path, and ``_cells``, the one definition of the cell sets the
-statistics, the refinement keys and the generators read.
+construction path, with one trusted builder per class, ``_is_int``, the one
+test for an ``int`` field that is not a ``bool``, and ``_cells``, the one
+definition of the cell sets the statistics, the refinement keys and the
+generators read.
 
 They live apart from ``matrices`` so that a module which only names them,
 as ``enumeration`` and ``cli`` do at import time, does not load the matrix
@@ -65,6 +67,11 @@ class ParseError(ValueError):
 # --- core types ------------------------------------------------------------
 
 
+def _is_int(value):
+    # a bool is an int to isinstance, yet no count, size, bit or cell
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class CellClass(Enum):
     NW = "nw"
     DIAGONAL = "diagonal"
@@ -103,11 +110,12 @@ class _Record:
     A subclass lists its fields in order as ``__slots__`` and the defaults
     of trailing fields in ``_defaults``; defining it keeps its slots'
     setters, in field order, as ``_setters``, through which every value
-    stores its fields.  The public constructor takes them by position or
-    keyword, then runs ``__post_init__``, looked up on the class, which may
-    validate them; ``_trusted(*fields)``, for values the package built
-    itself, takes exactly one value per field, by position, and runs no
-    ``__post_init__``.
+    stores its fields, and gives it its own ``_trusted``, built for its
+    number of fields by ``_trusted_builder``.  The public constructor takes
+    them by position or keyword, then runs ``__post_init__``, looked up on
+    the class, which may validate them; ``_trusted(*fields)``, for values
+    the package built itself, takes exactly one value per field, by
+    position, and runs no ``__post_init__``.
     Values of one class compare and hash by their fields and never equal a
     value of another class; the repr is ``Name(field=value, ...)``;
     assigning or deleting a field raises AttributeError; copy and pickle
@@ -121,6 +129,7 @@ class _Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._trusted = staticmethod(_trusted_builder(cls))
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -131,18 +140,6 @@ class _Record:
         for put, value in zip(self._setters, args):
             put(self, value)
         self.__post_init__()
-
-    @classmethod
-    def _trusted(cls, *fields):
-        """The value over all its fields, in order, without ``__post_init__``."""
-        setters = cls._setters
-        if len(fields) != len(setters):
-            raise TypeError(f"{cls.__qualname__}._trusted() takes {len(setters)} "
-                            f"fields but {len(fields)} were given")
-        value = object.__new__(cls)
-        for put, field in zip(setters, fields):
-            put(value, field)
-        return value
 
     @classmethod
     def _arguments(cls, args, kwargs):
@@ -194,3 +191,49 @@ class _Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def _trusted_builder(cls):
+    """``cls._trusted(*fields)``: the value over all its fields, in order,
+    without ``__post_init__``.  A class of one or two fields, as the matrix,
+    the signed matrix and the poset are, gets a closure that unpacks them
+    and calls its setters directly; any other class the loop over them."""
+    setters = cls._setters
+    new = object.__new__
+
+    def miscount(fields):
+        return TypeError(f"{cls.__qualname__}._trusted() takes {len(setters)} "
+                         f"fields but {len(fields)} were given")
+
+    if len(setters) == 1:
+        (put,) = setters
+
+        def trusted(*fields):
+            try:
+                (field,) = fields
+            except ValueError:
+                raise miscount(fields) from None
+            value = new(cls)
+            put(value, field)
+            return value
+    elif len(setters) == 2:
+        put_first, put_second = setters
+
+        def trusted(*fields):
+            try:
+                first, second = fields
+            except ValueError:
+                raise miscount(fields) from None
+            value = new(cls)
+            put_first(value, first)
+            put_second(value, second)
+            return value
+    else:
+        def trusted(*fields):
+            if len(fields) != len(setters):
+                raise miscount(fields)
+            value = new(cls)
+            for put, field in zip(setters, fields):
+                put(value, field)
+            return value
+    return trusted

@@ -4,15 +4,18 @@ Everything here trades speed for obviousness.  Matrices come from raw
 integer compositions over cell lists, posets from orienting every element
 pair all three ways, and family totals from integer power series, so none
 of the pruning or ordering logic in the package is shared with the code
-that checks it.
+that checks it.  Matrix text is read one character of one token at a
+time, and the membership conditions are tested one cell at a time.
 """
 
 import itertools
 import operator
+import sys
 
 from fishburn import (
     FamilyTag,
     Parity,
+    ParseError,
     Poset,
     StatVector,
     TriMatrix,
@@ -99,6 +102,202 @@ def brute_self_dual_mirrored(n, max_dim):
             if family_member(FamilyTag.FISHBURN, m):
                 found.add(m)
     return found
+
+
+# --- membership conditions, cell by cell -----------------------------------------
+# Each returns None when its condition holds, else the message the package's
+# ``*_violation`` gives for the first offending cell, row or column.
+
+
+def _zero_row(m, i):
+    return all(m.entry(i, j) == 0 for j in range(1, m.dim + 1))
+
+
+def _zero_column(m, j):
+    return all(m.entry(i, j) == 0 for i in range(1, m.dim + 1))
+
+
+def cell_rows_from(m, first):
+    """The first zero row from row ``first`` on."""
+    for i in range(first, m.dim + 1):
+        if _zero_row(m, i):
+            return f"row {i} zero"
+    return None
+
+
+def cell_columns_to(m, last):
+    """The first zero column up to column ``last``."""
+    for j in range(1, last + 1):
+        if _zero_column(m, j):
+            return f"column {j} zero"
+    return None
+
+
+def cell_pairing(m, order):
+    """The first i, in ``order``, with row i and column d + 1 - i zero."""
+    d = m.dim
+    for i in order:
+        if _zero_row(m, i) and _zero_column(m, d + 1 - i):
+            return f"row {i} and column {d + 1 - i} both zero"
+    return None
+
+
+def cell_selfdual(m):
+    d = m.dim
+    for i in range(1, d + 1):
+        for j in range(i, d + 1):
+            a, b = m.entry(i, j), m.entry(d + 1 - j, d + 1 - i)
+            if a != b:
+                return (f"cell ({i}, {j}) holds {a} but its mirror "
+                        f"({d + 1 - j}, {d + 1 - i}) holds {b}")
+    return None
+
+
+def cell_super_triangular(m):
+    d = m.dim
+    for i in range(1, d + 1):
+        for j in range(i, d + 1):
+            if i + j > d + 1 and m.entry(i, j) != 0:
+                return f"SE cell ({i}, {j}) holds {m.entry(i, j)}, want 0"
+    return None
+
+
+def cell_expandable(m):
+    h = (m.dim + 1) // 2
+    return cell_columns_to(m, h) or cell_pairing(m, range(1, h + 1))
+
+
+def cell_sm(m):
+    d = m.dim
+    if d % 2 == 0:
+        return f"dimension {d} even"
+    k = (d - 1) // 2
+    return (cell_super_triangular(m) or cell_columns_to(m, k)
+            or cell_pairing(m, range(k, 0, -1)))
+
+
+CELL_VIOLATIONS = {
+    "selfdual_violation": cell_selfdual,
+    "fishburn_violation": lambda m: cell_rows_from(m, 1) or cell_columns_to(m, m.dim),
+    "row_fishburn_violation": lambda m: cell_rows_from(m, 1),
+    "b_violation": lambda m: cell_rows_from(m, 2),
+    "super_triangular_violation": cell_super_triangular,
+    "expandable_violation": cell_expandable,
+    "sm_violation": cell_sm,
+}
+
+
+# --- matrix text -------------------------------------------------------------------
+# Line 1 holds the dimension d; each of the next d lines holds d entries,
+# separated by whitespace; an entry is a run of the ASCII digits 0-9 with
+# no more digits than ``int`` converts, and an entry left of the main
+# diagonal must be 0.  Later lines are ignored.
+
+_DIGITS = "0123456789"
+
+
+def _digits_value(token):
+    """The value of a token of ASCII digits, read one digit at a time, or
+    None for any other token."""
+    value = 0
+    for ch in token:
+        if ch not in _DIGITS:
+            return None
+        value = 10 * value + _DIGITS.index(ch)
+    return value
+
+
+def _too_long(token):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    return 0 < limit < len(token)
+
+
+def _long_message(what):
+    return f"{what} has more than {sys.get_int_max_str_digits()} digits"
+
+
+def reference_parse_matrix(text):
+    """The rows of a matrix text, each entry read token by token, or a
+    ParseError naming the first fault in reading order: line by line, and
+    in a line its entry count first, then its entries left to right."""
+    lines = text.splitlines()
+    head = lines[0].split() if lines else []
+    d = _digits_value(head[0]) if len(head) == 1 else None
+    if d is not None and _too_long(head[0]):
+        raise ParseError(_long_message("line 1: the dimension"))
+    if d is None or d < 1:
+        raise ParseError("line 1: expected a positive dimension")
+    if len(lines) < d + 1:
+        raise ParseError(f"line {len(lines) + 1}: expected {d} matrix rows, "
+                         f"found {len(lines) - 1}")
+    rows = []
+    for i in range(1, d + 1):
+        tokens = lines[i].split()
+        if len(tokens) != d:
+            raise ParseError(f"line {i + 1}: expected {d} entries, found {len(tokens)}")
+        row = []
+        for j, token in enumerate(tokens, start=1):
+            value = _digits_value(token)
+            if value is None:
+                raise ParseError(f"line {i + 1}: entry {j} is not a nonnegative integer")
+            if j < i and value != 0:
+                raise ParseError(f"cell ({i}, {j}) lies below the main diagonal and must be 0")
+            if _too_long(token):
+                raise ParseError(_long_message(f"line {i + 1}: entry {j}"))
+            row.append(value)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+# tokens that look like entries to ``int`` or ``str.isdigit`` but are none
+NON_ENTRIES = ("+1", "-1", "1_0", "\u0663", "\u00b2", "1.0", "x", "0x1")
+FAULTS = ("token", "below", "short", "long", "rows", "head", "oversize")
+
+
+def random_matrix_text(rng, fault_rate):
+    """A seeded matrix text of dimension 1-16 with entries of one to three
+    digits, now and then with leading zeros, LF or CRLF line ends, runs of
+    spaces or tabs between entries and a trailer line; with probability
+    ``fault_rate`` it holds one or two faults drawn from ``FAULTS``."""
+    d = rng.randint(1, 16)
+    width = rng.choice((1, 1, 2, 3))
+    tokens = [["0" if j < i or rng.random() < 0.4 else str(rng.randrange(1, 10 ** width))
+               for j in range(d)] for i in range(d)]
+    for row in tokens:
+        for j, token in enumerate(row):
+            if rng.random() < 0.03:
+                row[j] = "0" * rng.randint(1, 2) + token
+    head = str(d)
+    if rng.random() < fault_rate:
+        for _ in range(rng.randint(1, 2)):
+            head = _add_fault(rng, rng.choice(FAULTS), d, head, tokens)
+    newline = rng.choice(("\n", "\r\n"))
+    space = rng.choice((" ", " ", "  ", "\t"))
+    lines = [head] + [space.join(row) for row in tokens]
+    if rng.random() < 0.2:
+        lines.append(rng.choice(("flag: 1", "1 2 3", "")))
+    return newline.join(lines) + (newline if rng.random() < 0.9 else "")
+
+
+def _add_fault(rng, kind, d, head, tokens):
+    # change ``tokens`` in place; return the dimension line
+    i = rng.randrange(len(tokens)) if tokens else 0
+    if kind == "token" and tokens and tokens[i]:
+        tokens[i][rng.randrange(len(tokens[i]))] = rng.choice(NON_ENTRIES)
+    elif kind == "below" and i > 0 and len(tokens[i]) >= i:
+        tokens[i][rng.randrange(i)] = str(rng.randrange(1, 1000))
+    elif kind == "short" and tokens and tokens[i]:
+        del tokens[i][rng.randrange(len(tokens[i]))]
+    elif kind == "long" and tokens:
+        tokens[i].insert(rng.randrange(len(tokens[i]) + 1), str(rng.randrange(10)))
+    elif kind == "rows" and tokens:
+        del tokens[rng.randrange(len(tokens)):]
+    elif kind == "head":
+        return rng.choice(("0", "-2", "2 2", "", "x", "+3", "\u0663", str(d + 1),
+                           "0" * 4300 + str(d)))
+    elif kind == "oversize" and tokens and tokens[i]:
+        tokens[i][rng.randrange(len(tokens[i]))] = rng.choice("01") + "7" * 4300
+    return head
 
 
 # --- statistics -----------------------------------------------------------------

@@ -317,6 +317,15 @@ def test_check_parse_failure_exits_2(tmp_path):
     assert main(["check", "--family", "rm", "--input", str(path)]) == 2
 
 
+def test_check_oversize_entry_exits_2(tmp_path, capsys):
+    # an entry longer than int() converts is malformed text, not a crash
+    path = tmp_path / "long.txt"
+    path.write_text("1\n" + "7" * 5000 + "\n")
+    assert main(["check", "--family", "rm", "--input", str(path)]) == 2
+    _, err = capsys.readouterr()
+    assert err == f"error: line 2: entry 1 has more than {sys.get_int_max_str_digits()} digits\n"
+
+
 # --- top level --------------------------------------------------------------------
 
 

@@ -2,6 +2,9 @@
 
 import hashlib
 import random
+import re
+import sys
+from collections import Counter
 from enum import IntEnum
 
 import pytest
@@ -55,6 +58,7 @@ from fishburn.matrices import (
 )
 from fishburn.records import _cells
 from matrix_strategies import self_dual_fishburn_matrices, upper_matrices
+from oracles import CELL_VIOLATIONS, random_matrix_text, reference_parse_matrix
 from vectors import A5, A6, R5, S5
 
 # --- construction ------------------------------------------------------------
@@ -475,6 +479,74 @@ def test_parse_reports_the_first_fault_in_reading_order():
     assert message("1\n\u0663\n") == "line 2: entry 1 is not a nonnegative integer"
 
 
+def _parse_outcome(parse, text):
+    # the rows read, or the type and message of what the call raised
+    try:
+        value = parse(text)
+    except Exception as exc:  # a crash must differ from the reference too
+        return type(exc).__name__, str(exc)
+    return "rows", getattr(value, "rows", value)
+
+
+_PARSE_MESSAGES = {
+    "dimension": r"line 1: expected a positive dimension",
+    "long dimension": r"line 1: the dimension has more than \d+ digits",
+    "rows": r"line \d+: expected \d+ matrix rows, found \d+",
+    "count": r"line \d+: expected \d+ entries, found \d+",
+    "token": r"line \d+: entry \d+ is not a nonnegative integer",
+    "below": r"cell \(\d+, \d+\) lies below the main diagonal and must be 0",
+    "long entry": r"line \d+: entry \d+ has more than \d+ digits",
+}
+
+
+def test_parse_refuses_numbers_longer_than_int_converts():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as err:
+        parse_matrix("1" * (limit + 1) + "\n")
+    assert str(err.value) == f"line 1: the dimension has more than {limit} digits"
+    with pytest.raises(ParseError) as err:
+        parse_matrix("2\n1 0\n0 " + "5" * (limit + 1) + "\n")
+    assert str(err.value) == f"line 3: entry 2 has more than {limit} digits"
+    # leading zeros count as digits, and a later row's fault comes second
+    with pytest.raises(ParseError) as err:
+        parse_matrix("2\n1 " + "0" * (limit + 1) + "\n1 1\n")
+    assert str(err.value) == f"line 2: entry 2 has more than {limit} digits"
+    assert parse_matrix("1\n" + "9" * limit + "\n").rows == ((int("9" * limit),),)
+
+
+def test_parse_matches_the_reference_on_edge_texts():
+    for text in ("2\r\n1 0\r\n0 1\r\n", "1\n+1\n", "1\n1_0\n", "1\n\u00b2\n",
+                 "1\n\u0663\n", "2\n1 01\n0 007\n", "2\n01 0\n1 1\n",
+                 "2\n1\t0\n 0  1 \ntrailer\n", "2 \n1 2\n", "0" * 4301 + "\n",
+                 "1\n" + "1" * 4301 + "\n", "2\n1 1\n" + "0" * 4301 + " 1\n",
+                 "2\n1 " + "9" * 4300 + "\n0 1\n"):
+        got = _parse_outcome(parse_matrix, text)
+        assert got == _parse_outcome(reference_parse_matrix, text), text
+
+
+def test_parse_matches_a_token_by_token_reference():
+    # seeded texts of dimension 1-16, half of them faulty: the bulk test
+    # and the one-translation decode must give the reference's rows, and a
+    # faulty text the reference's first fault
+    rng = random.Random(2711)
+    seen = Counter()
+    dims = set()
+    for _ in range(4000):
+        text = random_matrix_text(rng, fault_rate=0.5)
+        got = _parse_outcome(parse_matrix, text)
+        assert got == _parse_outcome(reference_parse_matrix, text), text
+        if got[0] == "rows":
+            dims.add(len(got[1]))
+            seen["one digit" if max(map(max, got[1])) < 10 else "several digits"] += 1
+        else:
+            assert got[0] == "ParseError", got
+            kind, = [k for k, pattern in _PARSE_MESSAGES.items()
+                     if re.fullmatch(pattern, got[1])]
+            seen[kind] += 1
+    assert dims == set(range(1, 17))
+    assert set(seen) == {"one digit", "several digits", *_PARSE_MESSAGES}, seen
+
+
 # --- behaviour pin ------------------------------------------------------------------
 
 
@@ -569,6 +641,48 @@ _PINNED_DIGESTS = {
     "fishburn_to_poset":
         "5b7358f65a0eebfa0c793612dea5d4bc64136e1115a91d5b18f3d5496d5533c8",
 }
+
+
+def _line_test_matrix(rng, d):
+    # sparse enough that rows and columns are often zero: an upper
+    # triangular matrix, a self-dual one, or one that is zero on SE
+    kind = rng.choice(("upper", "self_dual", "zero_se"))
+    density = rng.choice((0.05, 0.12, 0.3, 0.6))
+    rows = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            if (kind == "upper" or i + j < d) and rng.random() < density:
+                rows[i][j] = rng.randint(1, 3)
+    if kind == "self_dual":
+        for i in range(d):
+            for j in range(d - i, d):
+                rows[i][j] = rows[d - 1 - j][d - 1 - i]
+    return TriMatrix(tuple(map(tuple, rows)))
+
+
+def test_violations_match_cell_by_cell_references():
+    # the line tests accept in bulk and name the offender by a second scan;
+    # the pinned digests below reach dimension 5 only
+    violations = {
+        "selfdual_violation": selfdual_violation,
+        "fishburn_violation": fishburn_violation,
+        "row_fishburn_violation": row_fishburn_violation,
+        "b_violation": b_violation,
+        "super_triangular_violation": super_triangular_violation,
+        "expandable_violation": expandable_violation,
+        "sm_violation": sm_violation,
+    }
+    assert set(violations) == set(CELL_VIOLATIONS)
+    rng = random.Random(612)
+    verdicts = Counter()
+    for _ in range(3000):
+        m = _line_test_matrix(rng, rng.randint(6, 12))
+        for name, violation in violations.items():
+            got = violation(m)
+            assert got == CELL_VIOLATIONS[name](m), (name, m)
+            verdicts[name, got is None] += 1
+    # each condition both holds and fails on some of them
+    assert len(verdicts) == 2 * len(violations)
 
 
 def test_membership_and_maps_pinned_on_small_matrices():

@@ -4,6 +4,7 @@ and isomorphism classes, cross-checked against brute-force oracles."""
 import copy
 import itertools
 import pickle
+import sys
 import time
 
 import pytest
@@ -654,6 +655,16 @@ def test_order_error_messages_pinned():
     with pytest.raises(ParseError) as caught:
         parse_poset("5\n1 2\n2 4\n4 3\n3 4\n5 3\n")
     assert str(caught.value) == "element 3 lies on a cycle"
+
+
+def test_parse_poset_refuses_numbers_longer_than_int_converts():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as err:
+        parse_poset("7" * (limit + 1) + "\n")
+    assert str(err.value) == f"line 1: the element count has more than {limit} digits"
+    with pytest.raises(ParseError) as err:
+        parse_poset("3\n1 2\n2 " + "3" * (limit + 1) + "\n")
+    assert str(err.value) == f"line 3: an element number has more than {limit} digits"
 
 
 def test_parse_poset_errors():
