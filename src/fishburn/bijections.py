@@ -17,13 +17,13 @@ dual in one scan.
 
 Each map has one unchecked body on row tuples, which takes the rows of a
 member and returns rows, or (rows, flag) for a signed matrix: ``_fold``
-(``alpha``), ``_relocate`` of the ``_moved`` columns (``beta``),
-``_project``, ``_embed`` (``embed_rm_in_b``) and ``_pad_center``
-(``em_to_sm``).  The public map checks its input once, at entry, and
-wraps what the body returns in ``TriMatrix._trusted``, which skips the
-per-cell check of the public constructor.  ``alpha_inv`` checks only
-that its swapped rows expand, which is what rejects the 1 x 1 zero
-matrix.
+(``alpha``), ``_unfold`` (``alpha_inv``), ``_relocate`` of the
+``_moved`` columns (``beta``), ``_project``, ``_embed``
+(``embed_rm_in_b``) and ``_pad_center`` (``em_to_sm``).  The public map
+checks its input once, at entry, and wraps what the body returns in
+``TriMatrix._trusted``, which skips the per-cell check of the public
+constructor.  ``alpha_inv`` checks only that its image has every row
+nonzero, which is what rejects the 1 x 1 zero matrix.
 
 The bodies that only move cells and insert zeros are applied through
 ``matrices._gather``: the cells a body moves depend only on the dimension
@@ -35,13 +35,13 @@ forms of the bodies.  The identity checker calls them, ``_project`` and
 check and hashes plain tuples; it reads them from this module when a
 pass starts, so a body replaced here is the one the pass runs.
 ``selfdual_to_signed_rm``, ``beta`` and ``em_to_sm`` apply the same
-compiled forms after their entry checks, and ``alpha`` the layout of
-``_fold``: a stream of 2 000 single requests builds about 175 layouts
-and reads each about 15 times.  A trace takes that image as its last
-snapshot and runs the bodies only for the intermediate rows.
-``alpha_inv`` and ``beta_inv`` always run directly:
-``alpha_inv`` checks its swapped rows, so it builds them anyway, and a
-layout for it measured no faster.
+compiled forms after their entry checks, ``alpha`` the layout of
+``_fold`` and ``alpha_inv`` that of ``_unfold``: a stream of 2 000
+single requests builds about 190 layouts and reads each about 17 times.
+A trace takes that image as its last snapshot and runs the bodies only
+for the intermediate rows.  ``beta_inv`` alone always runs directly:
+its shapes seldom repeat within a stream, so a layout for it costs
+more to build than its reads save.
 
 ``alpha``, ``alpha_inv``, ``beta``, ``beta_inv`` and the chain
 ``selfdual_to_signed_rm`` can optionally record a trace: a sequence of
@@ -63,6 +63,7 @@ from .matrices import (
     NotSMMember,
     OddDimension,
     TriMatrix,
+    _cell_getters,
     _dual_rows,
     _expand_rows,
     _flat,
@@ -166,8 +167,22 @@ def alpha_inv(s, want_trace=False):
     cells, drop the center column and row when both ended up zero (the even
     case leaves them so), and mirror the NW half back into SE."""
     require(sm_violation, NotSMMember, s)
-    k = s.dim // 2
-    g = TriMatrix._trusted(_swap_center(s.rows))
+    rows = s.rows
+    d = len(rows)
+    k = d // 2
+    if not want_trace:
+        # the swap leaves column k + 1 and row k + 1 zero exactly when row
+        # k + 1 and the diagonal cells of rows 1..k are
+        flat = _flat(rows)
+        drop = k >= 1 and not any(rows[k]) and not any(_cell_getters(d)["diag"](flat))
+        out = _place(_gather(_unfold, d, drop), flat)
+        # the image is self-dual, so it has every row and column nonzero,
+        # which is what expanding needs, exactly when every row is nonzero;
+        # an image with a zero row takes the direct path, whose check names
+        # the first zero line
+        if all(map(any, out)):
+            return TriMatrix._trusted(out)
+    g = TriMatrix._trusted(_swap_center(rows))
     steps = [("A(0)", s), ("A(1)", g)]
     if k >= 1 and not any(map(itemgetter(k), g.rows)) and not any(g.rows[k]):
         g = TriMatrix._trusted(_drop_line(g.rows, k))
@@ -180,6 +195,13 @@ def alpha_inv(s, want_trace=False):
         steps.append(("M", out))
         return out, BijectionTrace(tuple(steps))
     return out
+
+
+def _unfold(rows, drop):
+    # ``alpha_inv`` on the rows of an sm member without the expandability
+    # check, dropping the center line when ``drop``
+    g = _swap_center(rows)
+    return _expand_rows(_drop_line(g, len(rows) // 2) if drop else g)
 
 
 def _swap_center(rows):

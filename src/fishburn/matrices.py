@@ -33,17 +33,18 @@ getter per set and dimension, which ``stats``, ``reduced_size`` and
 text template per dimension and fills it from the cells in row-major order.
 
 Per-cell and per-line work runs in bulk, at C speed: the constructor tests
-each row with three scans, the membership conditions test whole rows,
-columns or cell sets, and ``parse_matrix`` tests a whole body with one
-``isdigit`` and, when every entry is one digit, decodes it with one
-``bytes.translate``.  Only what fails a bulk test is read again cell by
-cell, for the message naming its first offender.
+a whole matrix with a few scans, the membership conditions test whole
+rows, columns or cell sets, and ``parse_matrix`` tests a whole body with
+one ``isdigit`` and, when every entry is one digit, decodes it with one
+``bytes.translate``, leaving the zeros left of the diagonal to the
+constructor.  Only what fails a bulk test is read again cell by cell, for
+the message naming its first offender.
 """
 
 import sys
 from functools import lru_cache
 from itertools import chain, islice
-from operator import itemgetter
+from operator import getitem, itemgetter
 from types import MappingProxyType
 
 # the shared records; those this module does not use are kept as its names
@@ -67,6 +68,21 @@ from .records import (
 )
 
 _PLAIN_INT = frozenset({int})
+_PLAIN_TUPLE = frozenset({tuple})
+
+
+@lru_cache(maxsize=64)
+def _left_of_diagonal(d):
+    # the slice of each row of a dimension-d matrix left of the main diagonal
+    return tuple(slice(i) for i in range(d))
+
+
+def _check_indices(**indices):
+    # a bool or a float such as 2.0 is no index or dimension, even where it
+    # compares equal to one
+    for name, value in indices.items():
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 class TriMatrix(_Record):
@@ -93,15 +109,17 @@ class TriMatrix(_Record):
         if not isinstance(rows, tuple) or not rows:
             raise ValueError("rows must be a nonempty tuple of row tuples")
         m = len(rows)
+        # plain tuples of m plain ints, none negative and none nonzero left
+        # of the diagonal, pass in bulk; only another matrix is walked row
+        # by row and cell by cell, for the message of its first offender
+        if _PLAIN_TUPLE.issuperset(map(type, rows)) and set(map(len, rows)) == {m}:
+            cells = _flat(rows)
+            if _PLAIN_INT.issuperset(map(type, cells)) and min(cells) >= 0 and not any(
+                    map(any, map(getitem, rows, _left_of_diagonal(m)))):
+                return
         for i, row in enumerate(rows, start=1):
             if not isinstance(row, tuple) or len(row) != m:
                 raise ValueError(f"row {i} must be a tuple of {m} entries")
-            # a row of plain ints, none negative and none nonzero left of the
-            # diagonal, passes in bulk; only another row is walked cell by
-            # cell, for the message of its first offending cell
-            if _PLAIN_INT.issuperset(map(type, row)) and min(row) >= 0 \
-                    and not any(row[:i - 1]):
-                continue
             for j, value in enumerate(row, start=1):
                 if not _is_int(value):
                     raise ValueError(f"cell ({i}, {j}) must be an integer")
@@ -122,6 +140,7 @@ class TriMatrix(_Record):
 
     def entry(self, i, j):
         """Cell (i, j), 1-based."""
+        _check_indices(i=i, j=j)
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
             raise IndexError(f"cell ({i}, {j}) outside dimension {self.dim}")
         return self.rows[i - 1][j - 1]
@@ -131,11 +150,13 @@ class TriMatrix(_Record):
         return sum(map(sum, self.rows))
 
     def row_sum(self, i):
+        _check_indices(i=i)
         if not 1 <= i <= self.dim:
             raise IndexError(f"row {i} outside dimension {self.dim}")
         return sum(self.rows[i - 1])
 
     def col_sum(self, j):
+        _check_indices(j=j)
         if not 1 <= j <= self.dim:
             raise IndexError(f"column {j} outside dimension {self.dim}")
         return sum(row[j - 1] for row in self.rows)
@@ -159,6 +180,7 @@ class StatVector(_Record):
 
 def cell_class(m, i, j):
     """Class of cell (i, j) in a dimension-m matrix: NW, DIAGONAL, or SE."""
+    _check_indices(m=m, i=i, j=j)
     if not (1 <= i <= j <= m):
         raise IndexError(f"cell ({i}, {j}) outside the upper triangle of dimension {m}")
     if i + j < m + 1:
@@ -336,6 +358,7 @@ def _flat(rows):
     return (0, *chain.from_iterable(rows))
 
 
+@lru_cache(maxsize=64)
 def _index(d):
     # the dimension-d matrix of the flat indices of its cells, the pad 0
     # below the main diagonal, where every matrix of the package holds 0
@@ -432,19 +455,21 @@ def parse_matrix(text):
                          f"found {len(lines) - 1}")
     body = [line.split() for line in lines[1:d + 1]]
     rows = _bulk_rows(body, d)
-    if rows is None:
-        _raise_first_fault(body, d)
-    # the rows already pass every check, yet they go through the public
-    # constructor: the parse boundary is where validation runs and is
-    # counted (the tests' and the benchmark's constructor counts read it),
-    # and its bulk row test makes the second look cheap
-    return TriMatrix(rows)
+    if rows is not None:
+        # the public constructor's bulk test is the one check left, that
+        # every cell left of the main diagonal is 0; the parse boundary is
+        # where validation runs and is counted (the tests' and the
+        # benchmark's constructor counts read it)
+        try:
+            return TriMatrix(rows)
+        except ValueError:  # a nonzero cell left of the main diagonal
+            pass
+    _raise_first_fault(body, d)
 
 
 def _bulk_rows(body, d):
-    """The rows of a body whose every line holds d entries and whose every
-    cell left of the main diagonal is 0, else None.  Everything but the
-    diagonal test, one pass over the rows, runs at C speed."""
+    """The rows of a body whose every line holds d entries of ASCII digits
+    that ``int`` converts, else None, at C speed."""
     digits = "".join(map("".join, body))
     if set(map(len, body)) != {d} or not _is_uint(digits):
         return None
@@ -457,15 +482,13 @@ def _bulk_rows(body, d):
             rows = tuple([tuple(map(int, parts)) for parts in body])
         except ValueError:  # an entry with more digits than ``int`` converts
             return None
-    for i, row in enumerate(rows):
-        if any(row[:i]):
-            return None
     return rows
 
 
 def _raise_first_fault(body, d):
-    """Raise the ParseError of the first fault of a body ``_bulk_rows``
-    refused, reading lines top down and each line left to right."""
+    """Raise the ParseError of the first fault of a body that ``_bulk_rows``
+    or the constructor refused, reading lines top down and each line left
+    to right."""
     for i, parts in enumerate(body, start=1):
         if len(parts) != d:
             raise ParseError(f"line {i + 1}: expected {d} entries, found {len(parts)}")

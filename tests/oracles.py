@@ -187,6 +187,34 @@ CELL_VIOLATIONS = {
 }
 
 
+# --- the matrix constructor ---------------------------------------------------------
+# Rows are a nonempty tuple of d rows, each a tuple of d cells; a cell is an
+# int that is no bool, is at least 0, and is 0 left of the main diagonal.
+
+
+def reference_trimatrix_error(rows):
+    """``(ValueError, message)`` for the first fault the public ``TriMatrix``
+    constructor names in ``rows``, or None when it accepts them: rows top
+    down, and in a row its type and length first, then its cells left to
+    right, each for its type, its sign and its place."""
+    if not isinstance(rows, tuple) or len(rows) == 0:
+        return ValueError, "rows must be a nonempty tuple of row tuples"
+    d = len(rows)
+    for i in range(1, d + 1):
+        row = rows[i - 1]
+        if not isinstance(row, tuple) or len(row) != d:
+            return ValueError, f"row {i} must be a tuple of {d} entries"
+        for j in range(1, d + 1):
+            value = row[j - 1]
+            if isinstance(value, bool) or not isinstance(value, int):
+                return ValueError, f"cell ({i}, {j}) must be an integer"
+            if value < 0:
+                return ValueError, f"cell ({i}, {j}) must be nonnegative"
+            if j < i and value != 0:
+                return ValueError, f"cell ({i}, {j}) lies below the main diagonal and must be 0"
+    return None
+
+
 # --- matrix text -------------------------------------------------------------------
 # Line 1 holds the dimension d; each of the next d lines holds d entries,
 # separated by whitespace; an entry is a run of the ASCII digits 0-9 with

@@ -432,11 +432,11 @@ def test_parity_embedding_exhaustive_small():
 # --- row bodies -------------------------------------------------------------
 # The verify pass calls each map's unchecked body on row tuples, most of them
 # through layouts compiled per shape from the bodies, and so do ``alpha``,
-# ``beta``, the chain and ``em_to_sm`` without a trace; a trace runs the
-# bodies directly.  Each compiled form must give exactly the rows (and flag)
-# of its direct body, and of the last snapshot of its trace, on every member
-# the pass sees and on larger generated ones, and the compiled ``stats`` the
-# sums of its cell helpers.
+# ``alpha_inv``, ``beta``, the chain and ``em_to_sm`` without a trace; a
+# trace runs the bodies directly.  Each compiled form must give exactly the
+# rows (and flag) of its direct body, and of the last snapshot of its trace,
+# on every member the pass sees and on larger generated ones, and the
+# compiled ``stats`` the sums of its cell helpers.
 
 
 def _pair(signed):
@@ -474,6 +474,18 @@ def _check_compiled_relocation(s):
     assert beta(s, want_trace=True)[1].steps[-1] == ("A'", image)
 
 
+def _check_compiled_unfold(s):
+    # the direct bodies decide the drop from the swapped rows, as the
+    # trace does; the compiled path decides it from the input's cells
+    image = alpha_inv(s)
+    assert image == alpha_inv(s, want_trace=True)[0]
+    swapped = bijections._swap_center(s.rows)
+    k = s.dim // 2
+    if k >= 1 and not any(row[k] for row in swapped) and not any(swapped[k]):
+        swapped = bijections._drop_line(swapped, k)
+    assert image.rows == matrices._expand_rows(swapped)
+
+
 def test_row_bodies_match_public_maps_up_to_size_6():
     for n in range(1, 7):
         for m in enumerate_family(FamilyTag.SELF_DUAL, n):
@@ -486,6 +498,7 @@ def test_row_bodies_match_public_maps_up_to_size_6():
                 _check_compiled_parity_embedding(m)
         for s in enumerate_family(FamilyTag.SM, n):
             _check_compiled_relocation(s)
+            _check_compiled_unfold(s)
             image = beta(s)
             assert bijections._project(image.rows) == _pair(project_b_to_signed_rm(image))
         for a in enumerate_family(FamilyTag.RM, n):
@@ -507,8 +520,10 @@ def test_stats_match_cell_by_cell_sums_up_to_size_6():
 @given(sm_members(max_dim=12))
 def test_compiled_relocation_matches_beta_generated(s):
     # members larger than the sweep's reach some (dimension, moved columns)
-    # shapes that no member at n <= 6 has
+    # shapes that no member at n <= 6 has; ``alpha_inv``'s layouts are
+    # checked on the same members
     _check_compiled_relocation(s)
+    _check_compiled_unfold(s)
     assert stats(s) == cell_sum_stats(s)
 
 

@@ -256,6 +256,17 @@ def test_map_predicate_failure_exits_1(tmp_path, capsys):
     assert "cell (1, 1)" in err
 
 
+def test_map_alpha_inv_rejects_the_zero_sm_member(tmp_path, capsys):
+    # an sm member whose image has a zero row falls back to the direct
+    # path, whose check names the first zero line
+    path = tmp_path / "zero.txt"
+    path.write_text("1\n0\n")
+    assert main(["map", "--bijection", "alpha_inv", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "NotExpandable: column 1 zero\n"
+
+
 def test_map_parse_failure_exits_2(tmp_path, capsys):
     path = tmp_path / "mangled.txt"
     path.write_text("2\n1 x\n0 1\n")

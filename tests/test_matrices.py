@@ -1,6 +1,7 @@
 """Carrier type, family predicates, duality, reduction, and text format."""
 
 import hashlib
+import itertools
 import random
 import re
 import sys
@@ -46,7 +47,10 @@ from fishburn import (
 )
 from fishburn.matrices import (
     _cell_getters,
+    _expand_rows,
     _gather,
+    _index,
+    _left_of_diagonal,
     _text_template,
     b_violation,
     expandable_violation,
@@ -58,7 +62,12 @@ from fishburn.matrices import (
 )
 from fishburn.records import _cells
 from matrix_strategies import self_dual_fishburn_matrices, upper_matrices
-from oracles import CELL_VIOLATIONS, random_matrix_text, reference_parse_matrix
+from oracles import (
+    CELL_VIOLATIONS,
+    random_matrix_text,
+    reference_parse_matrix,
+    reference_trimatrix_error,
+)
 from vectors import A5, A6, R5, S5
 
 # --- construction ------------------------------------------------------------
@@ -114,6 +123,76 @@ def test_constructor_messages_pinned_on_later_rows():
     assert str(err.value) == "cell (1, 2) must be nonnegative"
 
 
+class _Row(tuple):
+    pass
+
+
+# the faults the constructor sweep plants, one or two per faulty row tuple,
+# in this order, so that a cell is planted before a row is cut short
+_ROW_FAULTS = ("bool", "float", "negative", "below", "int_enum", "list",
+               "tuple_subclass", "short", "empty")
+
+
+def _random_rows(rng):
+    """Seeded rows of dimension 1-8 with cells of up to six digits; seven
+    in ten carry one or two faults of ``_ROW_FAULTS``."""
+    d = rng.randint(1, 8)
+    rows = [[0 if j < i else rng.choice((0, 0, 1, 2, rng.randrange(10 ** 6)))
+             for j in range(d)] for i in range(d)]
+    lists, subclassed = set(), set()
+    faults = sorted(rng.sample(_ROW_FAULTS, rng.randint(1, 2)), key=_ROW_FAULTS.index) \
+        if rng.random() < 0.7 else ()
+    for fault in faults:
+        i, j = rng.randrange(d), rng.randrange(d)
+        if fault == "bool":
+            rows[i][j] = rng.choice((True, False))
+        elif fault == "float":
+            rows[i][j] = float(rows[i][j])
+        elif fault == "negative":
+            rows[i][j] = -rng.randint(1, 5)
+        elif fault == "list":
+            lists.add(i)
+        elif fault == "short":
+            del rows[i][j]
+        elif fault == "below" and i > 0:
+            rows[i][rng.randrange(i)] = rng.randint(1, 9)
+        elif fault == "empty":
+            return ()
+        elif fault == "int_enum":
+            rows[i][j] = _Unit.ONE
+        elif fault == "tuple_subclass":
+            subclassed.add(i)
+    return tuple(row if i in lists else _Row(row) if i in subclassed else tuple(row)
+                 for i, row in enumerate(rows))
+
+
+def test_constructor_matches_a_cell_by_cell_reference():
+    # the bulk test accepts only plain rows of plain ints; every other
+    # input must get the reference's verdict, an int subclass cell or a
+    # tuple subclass row being accepted
+    rng = random.Random(28)
+    kinds = Counter()
+    for _ in range(4000):
+        rows = _random_rows(rng)
+        expected = reference_trimatrix_error(rows)
+        try:
+            m = TriMatrix(rows)
+        except ValueError as exc:
+            got = type(exc), str(exc)
+        else:
+            got = None
+            assert m.rows is rows
+        assert got == expected, rows
+        plain = all(type(row) is tuple for row in rows) and all(
+            type(cell) is int for row in rows for cell in row)
+        kinds[re.sub(r"\d+", "#", got[1]) if got else "plain" if plain else "subclass"] += 1
+    assert set(kinds) == {
+        "plain", "subclass", "rows must be a nonempty tuple of row tuples",
+        "row # must be a tuple of # entries", "cell (#, #) must be an integer",
+        "cell (#, #) must be nonnegative",
+        "cell (#, #) lies below the main diagonal and must be #"}, kinds
+
+
 def test_from_rows_accepts_lists():
     assert TriMatrix.from_rows([1, 0], [0, 2]) == TriMatrix(((1, 0), (0, 2)))
 
@@ -132,6 +211,21 @@ def test_accessors_and_bounds():
         A5.row_sum(6)
     with pytest.raises(IndexError):
         A5.col_sum(0)
+
+
+def test_indices_must_be_ints():
+    # a bool or a float is refused even where it equals an index in range,
+    # as a size or a cell is
+    for call, args, name in (
+            (A5.entry, (True, 1), "i"), (A5.entry, (1, 2.0), "j"),
+            (A5.row_sum, (True,), "i"), (A5.col_sum, (1.5,), "j"),
+            (cell_class, (2, 1.5, 2), "i"), (cell_class, (2, 1, True), "j"),
+            (cell_class, (2.0, 1, 1), "m")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not "):
+            call(*args)
+    # an int subclass that is no bool is still an index
+    assert A5.entry(_Unit.ONE, 3) == 1
+    assert cell_class(5, _Unit.ONE, 5) is CellClass.DIAGONAL
 
 
 def test_equality_distinguishes_dimensions():
@@ -328,6 +422,20 @@ def test_expand_rejects_nonexpandable():
     assert expandable_violation(bad) == "row 2 and column 4 both zero"
 
 
+def test_expandable_exactly_when_the_expansion_has_no_zero_row():
+    # ``alpha_inv`` accepts its compiled image on this: the expansion of a
+    # zero-SE matrix is self-dual, so its columns are nonzero when its rows
+    # are; every 0/1 matrix with zero SE cells up to dimension 5
+    for d in range(1, 6):
+        half = [(i, j) for i in range(d) for j in range(i, d) if i + j < d]
+        for bits in itertools.product((0, 1), repeat=len(half)):
+            rows = [[0] * d for _ in range(d)]
+            for (i, j), bit in zip(half, bits):
+                rows[i][j] = bit
+            g = TriMatrix(tuple(map(tuple, rows)))
+            assert (expandable_violation(g) is None) == all(map(any, _expand_rows(g.rows)))
+
+
 def test_expand_requires_zero_se():
     with pytest.raises(NotSuperTriangular):
         expand(A5)
@@ -424,6 +532,8 @@ def test_per_shape_caches_are_bounded():
     # single calls bring a new shape per input, and a process may serve
     # any number of them
     assert _gather.cache_info().maxsize == 8192
+    assert _index.cache_info().maxsize == 64
+    assert _left_of_diagonal.cache_info().maxsize == 64
     assert _text_template.cache_info().maxsize == 64
     assert _cells.cache_info().maxsize == 64
     assert _cell_getters.cache_info().maxsize == 64
