@@ -107,6 +107,8 @@ class SignedRowFishburn(_Record):
 
     def __post_init__(self):
         _require_bit(self.flag, "flag")
+        if not isinstance(self.matrix, TriMatrix):
+            raise ValueError(f"matrix must be a TriMatrix, not {self.matrix!r}")
         require(row_fishburn_violation, NotRowFishburn, self.matrix)
 
 

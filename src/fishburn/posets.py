@@ -13,31 +13,33 @@ interval-order enumeration up to isomorphism.
 Self-duality of a poset (isomorphism with its order reversal) is decided
 here independently of the matrix mirror test, so the two notions can be
 compared rather than assumed to agree.  An isomorphism onto the reversal
-sends a twin class (elements with equal down-set and up-set) of profile
-(down-set size, up-set size) = (a, b) onto a class of profile (b, a).
-When each profile names one twin class, as in every interval order, that
-class map is the one candidate and is checked directly; other posets go
-to a backtracking search that pairs twin classes.
+sends a twin class (elements with equal down-set and up-set) of
+(down-set size, up-set size, class size) = (a, b, s) onto a class of
+(b, a, s).  A class alone in its group has one candidate and is paired
+by force, as every class of an interval order is; the forced pairs are
+checked once, together, and only the classes of larger groups are
+searched, by backtracking.
 
 A poset stores only its per-element down-set and up-set bitmasks (bit
 x - 1 stands for element x), and every kernel works on them.  The level
 chains sort distinct masks by popcount and test inclusion as
 ``a & ~b == 0``; the down-sets form a chain exactly when the up-sets do,
 so only the down-sets are tested.  Twins are interchangeable, and
-``_twin_classes`` holds each class as one mask of its members, which the
-forced check, the search and ``canonical_form`` all read: the forced
-candidate is checked as one mask comparison per class, the search checks
-a candidate image class with two, and ``canonical_form`` permutes classes
-rather than elements.  The public constructor builds the
-masks in the pass that checks the pairs, then checks transitivity as one
-mask inclusion per pair, the up-set of y inside that of x for x below y.
-``parse_poset`` checks its pairs itself, closes the relation over up-set
-masks, rejects a cycle and reads the down-set masks off the closed
-up-sets.  The decoder ``fishburn_to_poset`` reads the masks off the
-matrix and builds no pairs: its row-major labels put the elements above
-any up-level in one suffix of the labels, and those below any level in
-the columns before it.  ``dual_poset`` passes its input's masks on, swapped.
-``relation`` is built from the up-set masks when it is read.
+``_twin_classes`` holds each class as one mask of its members, which
+``is_self_dual_poset`` and ``canonical_form`` both read: a forced pair is
+checked as one mask comparison per class, a searched candidate image
+class with three, and ``canonical_form`` permutes classes rather than
+elements.  The public constructor builds the masks in the pass that
+checks the pairs, then checks transitivity as one mask inclusion per
+pair, the up-set of y inside that of x for x below y.  ``parse_poset``
+checks its pairs itself, closes the relation over the up-set masks of
+the elements that have something above them, rejects a cycle and reads
+the down-set masks off the closed up-sets.  The decoder
+``fishburn_to_poset`` reads the masks off the matrix and builds no
+pairs: its row-major labels put the elements above any up-level in one
+suffix of the labels, and those below any level in the columns before
+it.  ``dual_poset`` passes its input's masks on, swapped.  ``relation``
+is built from the up-set masks when it is read.
 """
 
 import itertools
@@ -281,7 +283,8 @@ def _twin_classes(p):
     """Twins, elements with equal down-set and up-set, grouped by those two
     masks: the mask of each class's members, keyed by (down, up).  A twin
     class lies wholly inside or wholly outside every down-set and up-set,
-    and swapping two twins is an automorphism."""
+    and swapping two twins is an automorphism, so self-duality pairs
+    classes and ``canonical_form`` permutes them."""
     classes = {}
     for x, key in enumerate(zip(*p._down_up)):
         classes[key] = classes.get(key, 0) | 1 << x
@@ -291,71 +294,61 @@ def _twin_classes(p):
 def is_self_dual_poset(p):
     """Decide isomorphism between the poset and its reversal.
 
-    An isomorphism onto the reversal sends a twin class whose elements have
-    profile (down-set size, up-set size) = (a, b) onto a class of profile
-    (b, a).  When each profile names one twin class, as in an interval
-    order, whose down-sets and up-sets form chains, that class map is the
-    only candidate: it pairs the classes twin by twin, and it is an
-    isomorphism exactly when the classes it pairs have equal sizes and
-    every class's up-set maps onto its image's down-set.  (Down-sets need
-    no check of their own: for a bijection f, y in up(x) iff f(y) in
-    down(f(x)) says x < y iff f(y) < f(x).)  Other posets go to
-    ``_self_dual_by_search``.  Neither reads the matrix encoding.
+    Such an isomorphism pairs the twin classes, each (down-set size,
+    up-set size, class size) = (a, b, s) class with a (b, a, s) class that
+    no other takes.  A class alone in its group, as each of an interval
+    order's is, has one candidate, and these forced pairs are checked
+    once: each class's up-set, cut to the paired classes, must map onto
+    its image's down-set cut to the images taken (for a bijection f, y in
+    up(x) iff f(y) in down(f(x)) says x < y iff f(y) < f(x), so down-sets
+    need no check).  The classes of larger groups are then paired by
+    backtracking: a free candidate agrees with every pair made so far
+    when the images in its down-set are those of the classes above the
+    current one, and those in its up-set of the classes below.  Nothing
+    reads the matrix encoding.
     """
-    members = _twin_classes(p)
-    by_profile = {(down.bit_count(), up.bit_count()): (down, up) for down, up in members}
-    if len(by_profile) < len(members):
-        return _self_dual_by_search(p)
-    # each class with its image: their members, the class's up-set and the
-    # image's down-set
-    pairs = []
-    for (a, b), (down, up) in by_profile.items():
-        target = by_profile.get((b, a))
-        if target is None:
-            return False
-        mask, image = members[down, up], members[target]
-        if mask.bit_count() != image.bit_count():
-            return False
-        pairs.append((mask, image, up, target[0]))
-    # an up-set is a union of twin classes, and its image the union of theirs
-    for _, _, up, target_down in pairs:
-        mapped = 0
-        for mask, image, _, _ in pairs:
-            if mask & up:
-                mapped |= image
-        if mapped != target_down:
-            return False
-    return True
-
-
-def _self_dual_by_search(p):
-    """Decide isomorphism between the poset and its reversal by backtracking
-    over pairings of twin classes.
-
-    Twins are interchangeable, so an isomorphism onto the reversal pairs
-    the classes, each with a class of reversed profile and equal size that
-    no other takes.  The classes are paired one per level, and a free
-    candidate agrees with the pairs made so far exactly when the images
-    in its down-set are those of the classes above the current one, and
-    the images in its up-set those of the classes below, so no reversed
-    relation is built.
-    """
-    # the classes by (down-set size, up-set size, class size)
+    # each group holds its classes as ((down, up), members) items
     groups = {}
-    for (down, up), members in _twin_classes(p).items():
+    for item in _twin_classes(p).items():
+        (down, up), members = item
         groups.setdefault((down.bit_count(), up.bit_count(), members.bit_count()),
-                          []).append((members, down, up))
-    for a, b, size in groups:
-        if (b, a, size) not in groups:
+                          []).append(item)
+    # the forced pairs, each class's up-set with its image's down-set, the
+    # images taken, and the classes that have a choice with their candidates
+    paired = []
+    checks = []
+    used = 0
+    free = []
+    for (a, b, size), group in groups.items():
+        images = groups.get((b, a, size))
+        if images is None or len(images) != len(group):
             return False
-    # each class with its candidate images
-    levels = [(members, down, up, groups[b, a, size])
-              for (a, b, size), group in groups.items() for members, down, up in group]
+        if len(group) == 1:
+            ((_, up), members), = group
+            ((image_down, _), image), = images
+            paired.append((members, image))
+            checks.append((up, image_down))
+            used |= image
+        else:
+            free += [(item, images) for item in group]
+    if free:
+        # the forced check sees only the images taken
+        checks = [(up, image_down & used) for up, image_down in checks]
+    # an up-set is a union of twin classes, and its image the union of theirs
+    for up, image_down in checks:
+        mapped = 0
+        for members, image in paired:
+            if members & up:
+                mapped |= image
+        if mapped != image_down:
+            return False
+    if not free:
+        return True
 
-    def extend(paired, used):
-        if len(paired) == len(levels):
+    def extend(k, paired, used):
+        if k == len(free):
             return True
-        members, down, up, candidates = levels[len(paired)]
+        ((down, up), members), candidates = free[k]
         # the reversal turns what lies above the class into what lies below
         # its image
         above = below = 0
@@ -364,14 +357,14 @@ def _self_dual_by_search(p):
                 above |= image
             elif source & down:
                 below |= image
-        for image, image_down, image_up in candidates:
+        for (image_down, image_up), image in candidates:
             if image & used or image_down & used != above or image_up & used != below:
                 continue
-            if extend(paired + [(members, image)], used | image):
+            if extend(k + 1, paired + [(members, image)], used | image):
                 return True
         return False
 
-    return extend([], 0)
+    return extend(0, paired, used)
 
 
 # --- isomorphism classes ----------------------------------------------------------------
@@ -474,13 +467,15 @@ def parse_poset(text):
         ups[x] |= 1 << (y - 1)
     # the transitive closure: once every element up to k has been passed
     # through, ups[x] holds each y reached from x by a path whose inner
-    # elements are all at most k
-    for k in range(1, n + 1):
-        for x in range(1, n + 1):
+    # elements are all at most k.  An element with nothing above it gains
+    # nothing and passes nothing on, so only the others take part
+    sources = [x for x in range(1, n + 1) if ups[x]]
+    for k in sources:
+        for x in sources:
             if ups[x] >> (k - 1) & 1:
                 ups[x] |= ups[k]
     downs = [0] * n
-    for x in range(1, n + 1):
+    for x in sources:
         if ups[x] >> (x - 1) & 1:
             raise ParseError(f"element {x} lies on a cycle")
         for y in _elements(ups[x]):

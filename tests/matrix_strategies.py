@@ -67,25 +67,37 @@ def b_members(draw, max_dim=4, max_entry=2):
 
 @st.composite
 def self_dual_fishburn_matrices(draw, max_dim=6, max_entry=2):
-    """Draw the free half (NW and diagonal cells), repair the leading
-    columns, then mirror NW onto SE.
+    """Draw the free half (NW and diagonal cells, every one from 0 up),
+    repair it with the line conditions the enumeration walks the half
+    with, then mirror NW onto SE.
 
-    Forcing every diagonal cell positive makes rows 1..ceil(d/2) and
-    columns floor(d/2)+1..d nonzero; the repaired columns 1..floor(d/2)
-    cover the rest through their SE mirrors.
+    Writing h for ceil(d/2), the half needs columns 1..h nonzero, and for
+    each i up to h, row i or column d + 1 - i of the half nonzero: in the
+    mirrored matrix row i and column d + 1 - i are then nonzero, and the
+    rest are the mirrors of those.  Adding entries can only help, so the
+    second repair keeps the first.  A diagonal cell may stay zero, so
+    members with a zero diagonal sum occur, and their ``alpha`` images
+    have a zero center cell.
     """
     dim = draw(st.integers(1, max_dim))
+    h = (dim + 1) // 2
     rows = [[0] * dim for _ in range(dim)]
-    for i in range(1, (dim + 1) // 2 + 1):
-        rows[i - 1][dim - i] = draw(st.integers(1, max_entry))
     for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            if i + j < dim + 1:
-                rows[i - 1][j - 1] = draw(st.integers(0, max_entry))
-    for j in range(1, dim // 2 + 1):
-        if not any(row[j - 1] for row in rows):
+        for j in range(i, dim + 2 - i):
+            rows[i - 1][j - 1] = draw(st.integers(0, max_entry))
+    # column j of the half is rows 1..j for j up to h
+    for j in range(1, h + 1):
+        if not any(rows[i - 1][j - 1] for i in range(1, j + 1)):
             i = draw(st.integers(1, j))
             rows[i - 1][j - 1] = draw(st.integers(1, max_entry))
+    # row i of the half is columns i..d + 1 - i, and column d + 1 - i of
+    # the half is rows 1..i
+    for i in range(1, h + 1):
+        line = [(i, j) for j in range(i, dim + 2 - i)] + \
+            [(r, dim + 1 - i) for r in range(1, i)]
+        if not any(rows[r - 1][c - 1] for r, c in line):
+            r, c = draw(st.sampled_from(line))
+            rows[r - 1][c - 1] = draw(st.integers(1, max_entry))
     for i in range(1, dim + 1):
         for j in range(i, dim + 1):
             if i + j > dim + 1:

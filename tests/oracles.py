@@ -474,3 +474,23 @@ def brute_canonical(p):
         if best is None or encoded < best:
             best = encoded
     return (n, best)
+
+
+def reference_closure(n, pairs):
+    """The transitive closure of ``pairs`` over elements 1..n, by a walk
+    from each element along the pairs, and the least element that the
+    walk from it reaches again (one on a cycle), or None."""
+    above = {x: [] for x in range(1, n + 1)}
+    for x, y in pairs:
+        above[x].append(y)
+    closure = set()
+    for x in above:
+        reached = set()
+        pending = list(above[x])
+        while pending:
+            y = pending.pop()
+            if y not in reached:
+                reached.add(y)
+                pending.extend(above[y])
+        closure.update((x, y) for y in reached)
+    return frozenset(closure), min((x for x, y in closure if x == y), default=None)

@@ -11,7 +11,9 @@ from fishburn import (
     alpha_inv,
     beta,
     beta_inv,
+    canonical_form,
     count_refined,
+    dual_poset,
     embed_rm_in_b,
     enumerate_family,
     family_member,
@@ -23,7 +25,6 @@ from fishburn import (
 )
 from fishburn.enumeration import IDENTITIES, verify_identities
 from fishburn.matrices import selfdual_violation
-from fishburn.posets import _self_dual_by_search
 from oracles import (
     all_posets,
     brute_canonical,
@@ -140,7 +141,7 @@ def test_criterion_7_poset_leg_to_size_5():
                 assert poset_to_fishburn(p) == m
                 self_dual = is_self_dual_poset(p)
                 assert self_dual == (selfdual_violation(m) is None)
-                assert self_dual == _self_dual_by_search(p)
+                assert self_dual == (canonical_form(p) == canonical_form(dual_poset(p)))
         # independent cross-check: enumerate every poset and count the
         # isomorphism classes of the interval orders among them
         for n in range(1, 5):

@@ -4,8 +4,10 @@ and isomorphism classes, cross-checked against brute-force oracles."""
 import copy
 import itertools
 import pickle
+import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,9 +34,8 @@ from fishburn import (
 )
 from fishburn import matrices, posets
 from fishburn.matrices import selfdual_violation
-from fishburn.posets import _self_dual_by_search
 from matrix_strategies import fishburn_matrices
-from oracles import all_posets, brute_canonical, no_two_plus_two
+from oracles import all_posets, brute_canonical, no_two_plus_two, reference_closure
 from vectors import A5, INTERVAL_ORDER_COUNTS, POSET_MATRIX, POSET_RELATION
 
 TWO_PLUS_TWO = Poset(4, frozenset({(1, 2), (3, 4)}))
@@ -430,8 +431,8 @@ def test_self_duality_vectors():
     assert is_self_dual_poset(Poset(1, frozenset()))
     # a 2-chain reverses onto itself by swapping its endpoints
     assert is_self_dual_poset(Poset(2, frozenset({(1, 2)})))
-    # the fence 4 > 2 < 1 > 5 < 3 > 6 is self-dual, but the search reaches
-    # its reversal only after backing out of a first pairing that fails
+    # the fence 4 > 2 < 1 > 5 < 3 > 6 is self-dual: its ends 4 and 6 pair
+    # by force, and its middle is searched
     assert is_self_dual_poset(Poset(6, frozenset({(2, 1), (2, 4), (5, 1), (5, 3), (6, 3)})))
 
 
@@ -443,35 +444,68 @@ def test_self_duality_is_isomorphism_invariant():
             assert is_self_dual_poset(relabeled(p, mapping)) == value
 
 
-def test_self_duality_matches_canonical_forms_on_every_small_poset(monkeypatch):
+def grouped(p):
+    """Whether some twin classes of ``p`` share (down-set size, up-set
+    size, class size), so that the self-duality test searches."""
+    groups = Counter((down.bit_count(), up.bit_count(), members.bit_count())
+                     for (down, up), members in posets._twin_classes(p).items())
+    return max(groups.values()) > 1
+
+
+def test_self_duality_matches_canonical_forms_on_every_small_poset():
     # every labeled poset up to five elements, interval orders or not; the
-    # forced check, the search and the canonical form share no code path
-    # through the matrix.  The posets in which some profile holds two twin
-    # classes take the search, the rest the forced candidate, and both
-    # kinds occur
-    searched = []
-
-    def counting(p):
-        searched.append(p)
-        return _self_dual_by_search(p)
-
-    monkeypatch.setattr(posets, "_self_dual_by_search", counting)
-    total = 0
+    # self-duality test and the canonical form share no code path through
+    # the matrix.  The posets in which some group holds two twin classes
+    # reach the search, the rest are decided by the forced pairs alone,
+    # and both kinds occur
+    total = searched = 0
     for n in range(1, 6):
         for p in all_posets(n):
             total += 1
+            searched += grouped(p)
             assert is_self_dual_poset(p) == \
                 (canonical_form(p) == canonical_form(dual_poset(p))), p
-    assert total == 4473
-    assert (total - len(searched), len(searched)) == (3801, 672)
+    assert (total, searched) == (4473, 552)
+
+
+def random_order(rng, n):
+    """The pairs of a random poset on 1..n: the closure of a random graph
+    oriented along a random labelling, with its edge probability drawn
+    too."""
+    edge = rng.random()
+    labels = rng.sample(range(1, n + 1), n)
+    return reference_closure(n, [(labels[i], labels[j]) for i in range(n)
+                                 for j in range(i + 1, n) if rng.random() < edge])[0]
+
+
+def test_self_duality_matches_canonical_forms_on_mixed_posets():
+    # the disjoint union of an interval order, whose classes pair by
+    # force, and a random poset, whose classes may have a choice, labelled
+    # at random: the forced pairs and the search must agree on one poset
+    rng = random.Random(29)
+    orders = [fishburn_to_poset(m) for m in fishburn_members(4)]
+    kinds = Counter()
+    for _ in range(1500):
+        q = rng.choice(orders)
+        m = rng.randint(3, 7)
+        n = q.n_elements + m
+        pairs = q.relation | {(x + q.n_elements, y + q.n_elements)
+                              for x, y in random_order(rng, m)}
+        labels = rng.sample(range(1, n + 1), n)
+        p = Poset(n, frozenset((labels[x - 1], labels[y - 1]) for x, y in pairs))
+        verdict = is_self_dual_poset(p)
+        assert verdict == (canonical_form(p) == canonical_form(dual_poset(p))), p
+        kinds[grouped(p), verdict] += 1
+    assert len(kinds) == 4, kinds
 
 
 def test_forced_class_map_must_pair_equal_sizes():
     # a crown of twin classes: bottom class i (sizes 1, 2, 3, 3) lies below
     # top classes i and i + 1 mod 4 (sizes 1, 2, 2, 4).  Every profile
-    # names one class and the forced class map reverses the crown, but it
-    # pairs classes of unequal sizes, so no isomorphism onto the reversal
-    # exists
+    # names one class and the class map by profile reverses the crown, but
+    # it pairs classes of unequal sizes, so no isomorphism onto the
+    # reversal exists; the groups, keyed on class size too, find no image
+    # for the first bottom class
     bottoms = [i for i, size in enumerate((1, 2, 3, 3)) for _ in range(size)]
     tops = [j for j, size in enumerate((1, 2, 2, 4)) for _ in range(size)]
     below = len(bottoms)
@@ -479,33 +513,45 @@ def test_forced_class_map_must_pair_equal_sizes():
         (x, below + y) for x, i in enumerate(bottoms, start=1)
         for y, j in enumerate(tops, start=1) if j in (i, (i + 1) % 4)))
     assert not is_self_dual_poset(p)
-    assert not _self_dual_by_search(p)
     assert canonical_form(p) != canonical_form(dual_poset(p))
 
 
 @pytest.mark.parametrize("relation", [
-    # two classes of one profile would share an image were the search to
-    # let a class take an image already taken
-    {(5, 1), (6, 1), (7, 2), (7, 4), (8, 3), (9, 3)},
+    # six groups of two classes: a class would take an image already
+    # taken were the search to let it
+    {(3, 1), (3, 4), (3, 9), (3, 11), (5, 1), (5, 2), (5, 6), (5, 9), (7, 6),
+     (7, 9), (7, 11), (8, 1), (8, 6), (8, 11), (10, 1), (10, 2), (10, 4),
+     (10, 9), (10, 11), (12, 2), (12, 4), (12, 6), (12, 9), (12, 11)},
     # a pairing would pass on the images below each class alone
-    {(2, 4), (5, 2), (5, 3), (5, 4), (6, 1), (7, 1), (7, 4)},
+    {(2, 6), (2, 7), (2, 8), (3, 1), (5, 6), (9, 4), (9, 6), (10, 1), (10, 8)},
     # and another on the images above each class alone
-    {(1, 4), (1, 5), (2, 5), (3, 4), (3, 6), (3, 7), (7, 4)},
+    {(1, 7), (1, 10), (4, 2), (5, 2), (5, 10), (6, 9), (8, 2), (8, 3), (8, 9)},
 ])
 def test_search_rejects_pairings_that_fail_one_test(relation):
-    # none of these is self-dual.  The search turns each down only by the
-    # free-image test, the down-set test or the up-set test respectively,
-    # and posets of up to five elements need none of the three
+    # none of these is self-dual, and each has a group of two twin
+    # classes, so it reaches the search.  The search turns each down only
+    # by the free-image test, the down-set test or the up-set test
+    # respectively, and posets of up to five elements need none of the
+    # three.  The last two also hold forced pairs, which every candidate
+    # is tested against.  Each was found by a seeded search over randomly
+    # labelled posets, some of them unions with an interval order
     p = Poset(max(map(max, relation)), frozenset(relation))
-    assert not _self_dual_by_search(p)
+    assert grouped(p)
     assert not is_self_dual_poset(p)
     assert canonical_form(p) != canonical_form(dual_poset(p))
 
 
-def test_forced_candidate_matches_search_on_interval_orders():
-    for m in fishburn_members(7):
-        p = fishburn_to_poset(m)
-        assert is_self_dual_poset(p) == _self_dual_by_search(p), m
+def test_forced_pairs_are_checked_beside_the_search():
+    # not self-dual, and only the check of the forced pairs among
+    # themselves says so: every group has its reversed group, and the
+    # groups of two have a pairing that agrees with the forced images.
+    # Found like the witnesses above
+    relation = {(3, 4), (3, 9), (3, 10), (5, 10), (6, 1), (6, 9), (7, 9), (7, 10),
+                (8, 1), (8, 2), (8, 4), (8, 9)}
+    p = Poset(10, frozenset(relation))
+    assert grouped(p)
+    assert not is_self_dual_poset(p)
+    assert canonical_form(p) != canonical_form(dual_poset(p))
 
 
 def test_self_duality_reads_no_matrix(monkeypatch):
@@ -522,8 +568,12 @@ def test_self_duality_reads_no_matrix(monkeypatch):
 
 
 def test_poset_self_duality_matches_matrix_self_duality():
+    # an interval order's twin classes have distinct profiles, so every
+    # class pairs by force and nothing is searched
     for m in fishburn_members(7):
-        assert is_self_dual_poset(fishburn_to_poset(m)) == (selfdual_violation(m) is None)
+        p = fishburn_to_poset(m)
+        assert not grouped(p)
+        assert is_self_dual_poset(p) == (selfdual_violation(m) is None)
 
 
 # --- isomorphism classes ----------------------------------------------------------
@@ -626,6 +676,46 @@ def test_parse_poset_takes_transitive_closure():
     p = parse_poset(f"{n}\n" + "".join(f"{x} {x + 1}\n" for x in range(n - 1, 0, -1)))
     assert p.relation == frozenset(itertools.combinations(range(1, n + 1), 2))
     assert is_interval_order(p)
+
+
+def test_parse_poset_matches_a_walk_over_the_pairs():
+    # seeded texts of 1 to 30 elements: sparse ones, with a few pairs among
+    # many elements, dense ones, every pair drawn along one random order,
+    # and cyclic ones, pairs drawn in both directions.  The reader's
+    # closure must give the pairs an independent walk reaches, or name the
+    # least element on a cycle
+    rng = random.Random(478)
+    outcomes = Counter()
+    for trial in range(3000):
+        kind = ("sparse", "dense", "cyclic")[trial % 3]
+        n = rng.randint(1, 30)
+        if kind == "sparse":
+            pairs = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 3))] \
+                if n > 1 else []
+        else:
+            pairs = sorted(random_order(rng, n))
+            if kind == "cyclic":
+                pairs += [(y, x) for x, y in pairs if rng.random() < 0.05]
+            rng.shuffle(pairs)
+        text = f"{n}\n" + "".join(f"{x} {y}\n" for x, y in pairs)
+        closure, on_cycle = reference_closure(n, pairs)
+        if on_cycle is None:
+            p = parse_poset(text)
+            assert p.relation == closure, text
+            assert p == Poset(n, closure), text
+        else:
+            with pytest.raises(ParseError) as caught:
+                parse_poset(text)
+            assert str(caught.value) == f"element {on_cycle} lies on a cycle", text
+        outcomes[kind, on_cycle is None] += 1
+    assert len(outcomes) == 5, outcomes
+    # the closure runs over the elements with something above them, so an
+    # element count far beyond the pairs costs little; over every pair of
+    # elements it took about 1 s at 4 000 elements, growing as the square
+    start = time.perf_counter()
+    p = parse_poset("20000\n1 2\n2 3\n7 9\n")
+    assert time.perf_counter() - start < 5.0
+    assert p.relation == {(1, 2), (2, 3), (1, 3), (7, 9)} and p.n_elements == 20000
 
 
 def test_parse_poset_skips_blank_lines():

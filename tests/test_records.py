@@ -221,6 +221,11 @@ def test_public_constructors_keep_their_messages():
         with pytest.raises(ValueError) as err:
             SignedRowFishburn(ONE, flag)
         assert str(err.value) == "flag must be 0 or 1"
+    # the matrix itself, not its rows
+    for matrix in (((1,),), None):
+        with pytest.raises(ValueError) as err:
+            SignedRowFishburn(matrix, 0)
+        assert str(err.value) == f"matrix must be a TriMatrix, not {matrix!r}"
     with pytest.raises(ValueError) as err:
         Poset(2, frozenset({(1, 1)}))
     assert str(err.value) == "relation is not irreflexive at element 1"
